@@ -36,12 +36,12 @@ MAX_ACT = 73
 #: 1-bank throughput (1.0 == perfectly flat hot loop; linear
 #: degradation would put it near 0.25).
 MIN_RETAINED = 0.35
-#: Floor on the vectorized kernel's speedup over the scalar engine at
-#: 8 banks (measured ~3.3× for MINT on the reference machine).
+#: Floor on the fused march's speedup over the scalar reference at
+#: 8 banks (measured ~5.3× for MINT on a 2-CPU container).
 MIN_KERNEL_SPEEDUP = 2.0
 #: Channel throughput at 4 ranks must retain this fraction of 1-rank
-#: throughput (the channel march adds only chunk-granular dispatch on
-#: top of the rank hot loop; measured ~0.9 on the reference machine).
+#: throughput (every rank runs through one fused kernel; measured
+#: ~0.8 on a 2-CPU container).
 MIN_CHANNEL_RETAINED = 0.35
 
 
@@ -142,8 +142,8 @@ def _run_channel(num_ranks: int):
 def test_channel_throughput_scales_sublinearly_in_ranks():
     """Driving R ranks costs ~R× the work of one, not R× the overhead.
 
-    The channel march (streamed per-rank schedules, chunk-granular
-    lockstep) must not regress the rank hot loop: per-ACT cost stays
+    The channel march (streamed per-rank schedules through one fused
+    kernel) must not regress the rank hot loop: per-ACT cost stays
     nearly flat as ranks are added.
     """
     single_result, single, single_acts = _run_channel(1)

@@ -21,10 +21,11 @@ for diffing across commits. CI uploads it as a build artifact on every
 push (non-blocking: wall-clock numbers on shared runners inform, they
 do not gate).
 
-The fused-kernel acceptance point (``fused_channel_points``) times the
-8-bank/4-rank channel config through the lockstep march, the fused
-multi-rank kernel, and the scalar engine, verifying all three are
-bit-identical and recording the fused-vs-lockstep speedup.
+The kernel acceptance point (``fused_channel_points``) times the
+8-bank/4-rank channel config through the pure-NumPy fused march, the
+compiled march (when the host has a provider), and the scalar
+reference engine, verifying all of them are bit-identical and recording
+each production tier's speedup over the reference.
 
 Usage::
 
@@ -35,10 +36,12 @@ Usage::
 
 ``--smoke`` runs only the behavioural gates (small horizon, no timing
 thresholds, no file write) and exits non-zero on any mismatch — the
-blocking CI gate; wall-clock numbers never gate. It covers the fused
-and compiled kernel bit-identity checks plus the experiment-service
-lifecycle: run a grid, crash it mid-run, resume to a bit-identical
-store, and answer a query over HTTP (``repro serve``).
+blocking CI gate; wall-clock numbers never gate. It covers the
+bit-identity of every engine tier on the channel acceptance workload
+and on the single-rank paper default (MINT, double-sided, 2000 tREFI
+through ``Session``), plus the experiment-service lifecycle: run a
+grid, crash it mid-run, resume to a bit-identical store, and answer a
+query over HTTP (``repro serve``).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -228,6 +231,21 @@ def bench_channel_scaling(
     return points
 
 
+def _engine_legs(provider) -> list:
+    """The production tiers plus the reference engine, as ``(label,
+    EngineConfig overrides)``; ``compiled`` only when a provider
+    exists on this host."""
+    legs = [
+        # backend pinned: this leg tracks the pure-NumPy fused march,
+        # which backend="auto" would replace by the compiled tier.
+        ("fused", dict(backend="numpy")),
+        ("scalar", dict(vectorized=False)),
+    ]
+    if provider is not None:
+        legs.insert(0, ("compiled", dict(backend="compiled")))
+    return legs
+
+
 def bench_fused_channel(
     trackers: list[str],
     intervals: int,
@@ -235,25 +253,27 @@ def bench_fused_channel(
     num_ranks: int = 4,
     num_banks: int = 8,
 ) -> list[dict]:
-    """The fused-kernel acceptance point: one 8-bank/4-rank config
-    through all three engines, timed, with three-way bit-identity.
+    """The kernel acceptance point: one 8-bank/4-rank config through
+    every engine tier, timed, with bit-identity across all of them.
 
-    ``lockstep`` is the chunk-granular march of independent per-rank
-    vectorized kernels (``fused=False``), ``fused`` the packed
-    multi-rank kernel, ``scalar`` the per-ACT reference engine; the
-    speedup recorded is fused over lockstep.
+    ``fused`` is the pure-NumPy fused march, ``compiled`` the same
+    march with the compiled tier (best available provider; the leg is
+    skipped, with ``provider: null``, when the host has none), and
+    ``scalar`` the per-ACT reference engine. The speedups recorded are
+    fused and compiled over the reference.
 
-    The workload is the attack shape the fused kernel exists for: each
+    The workload is the attack shape the fused march exists for: each
     rank's whole ``max_act`` tREFI budget *striped across* the banks as
     double-sided pairs, so every (rank, bank) batch carries only
-    ``max_act/num_banks`` ACTs and the lockstep march is dispatch-bound
-    — one Python dispatch per (rank, bank) per tREFI for a handful of
-    ACTs each. (The bank-saturating ``rank_synchronized`` shape used by
-    ``channel_points`` amortizes that dispatch over 73-ACT batches and
-    understates the fused win.)
+    ``max_act/num_banks`` ACTs and a per-bank engine would be
+    dispatch-bound; every rank replays one cached interval for
+    thousands of tREFIs, the steady state the compiled march exists
+    for.
     """
+    from repro import kernels
     from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 
+    provider = kernels.provider()
     acts = []
     for i in range(MAX_ACT):
         bank = i % num_banks
@@ -262,6 +282,7 @@ def bench_fused_channel(
             (bank, 1000 + 4000 * bank + 6 * pair + (2 if i % 2 else 0))
         )
     interval = RankInterval.of(acts)
+    legs = _engine_legs(provider)
     points = []
     for tracker in trackers:
         trace = ChannelTrace(
@@ -281,121 +302,15 @@ def bench_fused_channel(
             "intervals": intervals,
             "total_acts": total_acts,
             "kernel": "fused",
-        }
-        specs = (
-            ("lockstep", dict(fused=False, vectorized=True)),
-            # backend pinned: this point tracks the pure-NumPy fused
-            # kernel tier; the compiled tier has its own points
-            # (``compiled_channel_points``) and must not leak in via
-            # backend="auto" resolution.
-            ("fused", dict(fused=True, vectorized=True, backend="numpy")),
-            ("scalar", dict(fused=False, vectorized=False)),
-        )
-        results = {}
-        best = {label: float("inf") for label, _ in specs}
-        # Repeats interleave the engines so a load burst on a shared
-        # box lands on all of them instead of skewing one label's whole
-        # timing window (this point records a cross-engine *ratio*).
-        for _ in range(repeats):
-            for label, overrides in specs:
-                simulator = ChannelSimulator(
-                    channel_tracker_factory(tracker, base_seed=7),
-                    EngineConfig(
-                        num_banks=num_banks,
-                        num_ranks=num_ranks,
-                        trh=1e9,
-                        **overrides,
-                    ),
-                )
-                started = time.perf_counter()
-                results[label] = simulator.run(trace)
-                best[label] = min(
-                    best[label], time.perf_counter() - started
-                )
-        for label, _ in specs:
-            point[f"{label}_acts_per_second"] = round(
-                total_acts / best[label], 1
-            )
-            point[f"{label}_seconds"] = round(best[label], 6)
-        point["speedup_vs_lockstep"] = round(
-            point["fused_acts_per_second"]
-            / point["lockstep_acts_per_second"],
-            3,
-        )
-        canon = {label: _canonical(r) for label, r in results.items()}
-        point["bit_identical"] = (
-            canon["fused"] == canon["lockstep"] == canon["scalar"]
-        )
-        points.append(point)
-    return points
-
-
-def bench_compiled_channel(
-    trackers: list[str],
-    intervals: int,
-    repeats: int,
-    num_ranks: int = 4,
-    num_banks: int = 8,
-) -> list[dict]:
-    """The compiled-tier acceptance point: the fused 8-bank/4-rank
-    striped workload through lockstep, fused, compiled, and scalar,
-    timed, with four-way bit-identity.
-
-    Same workload as :func:`bench_fused_channel` — the steady state the
-    compiled march exists for (every rank replaying one cached interval
-    for thousands of tREFIs). ``compiled`` is the fused kernel with
-    ``backend="compiled"`` (best available provider); the speedups
-    recorded are compiled over fused and compiled over lockstep. When
-    no compiled provider is available on the host the points record
-    ``provider: null`` and skip the compiled timing rather than fail.
-    """
-    from repro import kernels
-    from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
-
-    provider = kernels.provider()
-    acts = []
-    for i in range(MAX_ACT):
-        bank = i % num_banks
-        pair = (i // num_banks) % 3
-        acts.append(
-            (bank, 1000 + 4000 * bank + 6 * pair + (2 if i % 2 else 0))
-        )
-    interval = RankInterval.of(acts)
-    points = []
-    for tracker in trackers:
-        trace = ChannelTrace(
-            name="compiled-stripe",
-            per_rank={
-                rank: CycleStream(
-                    f"compiled-stripe-r{rank}", (interval,), intervals
-                )
-                for rank in range(num_ranks)
-            },
-        )
-        total_acts = num_ranks * MAX_ACT * intervals
-        point: dict = {
-            "tracker": tracker,
-            "num_ranks": num_ranks,
-            "num_banks": num_banks,
-            "intervals": intervals,
-            "total_acts": total_acts,
-            "kernel": "compiled",
             "provider": provider,
         }
-        specs = [
-            ("lockstep", dict(fused=False, vectorized=True)),
-            ("fused", dict(fused=True, vectorized=True, backend="numpy")),
-            ("scalar", dict(fused=False, vectorized=False)),
-        ]
-        if provider is not None:
-            specs.insert(
-                2, ("compiled", dict(fused=True, vectorized=True,
-                                     backend="compiled"))
-            )
         results = {}
-        best = {label: float("inf") for label, _ in specs}
+        best = {label: float("inf") for label, _ in legs}
+        # Repeats interleave the engines so a load burst on a shared
+        # box lands on all of them instead of skewing one label's whole
+        # timing window (this point records cross-engine *ratios*).
         for _ in range(repeats):
-            for label, overrides in specs:
+            for label, overrides in legs:
                 simulator = ChannelSimulator(
                     channel_tracker_factory(tracker, base_seed=7),
                     EngineConfig(
@@ -410,30 +325,41 @@ def bench_compiled_channel(
                 best[label] = min(
                     best[label], time.perf_counter() - started
                 )
-        for label, _ in specs:
+        for label, _ in legs:
             point[f"{label}_acts_per_second"] = round(
                 total_acts / best[label], 1
             )
             point[f"{label}_seconds"] = round(best[label], 6)
+        for label, _ in legs[:-1]:
+            point[f"{label}_speedup_vs_scalar"] = round(
+                point[f"{label}_acts_per_second"]
+                / point["scalar_acts_per_second"],
+                3,
+            )
         canon = {label: _canonical(r) for label, r in results.items()}
-        point["bit_identical"] = all(
-            canon[label] == canon["scalar"] for label, _ in specs
-        )
+        point["bit_identical"] = len(set(canon.values())) == 1
         if provider is not None:
-            point["speedup_vs_fused"] = round(
-                point["compiled_acts_per_second"]
-                / point["fused_acts_per_second"],
-                3,
-            )
-            point["speedup_vs_lockstep"] = round(
-                point["compiled_acts_per_second"]
-                / point["lockstep_acts_per_second"],
-                3,
-            )
-            stats = results["compiled"].kernel_stats
-            point["kernel_stats"] = stats
+            point["kernel_stats"] = results["compiled"].kernel_stats
         points.append(point)
     return points
+
+
+def smoke_paper_scenario() -> int:
+    """The paper default through ``Session``: MINT, double-sided,
+    2000 tREFI, single rank, bit-identical across every engine tier.
+    Returns the number of mismatches."""
+    from repro import kernels
+
+    scenario = Scenario(tracker="mint", attack="double-sided", seed=7)
+    canon = {}
+    for label, overrides in _engine_legs(kernels.provider()):
+        canon[label] = _canonical(Session(replace(scenario, **overrides)).run())
+    identical = len(set(canon.values())) == 1
+    print(
+        f"{'mint':>10s} single-rank paper scenario identity across "
+        f"{', '.join(canon)} [{'ok' if identical else 'MISMATCH'}]"
+    )
+    return not identical
 
 
 def bench_streaming(intervals: int, repeats: int) -> dict:
@@ -848,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="fused + compiled bit-identity gate only: small horizon, "
+        help="engine-tier bit-identity gate only: small horizon, "
         "no timing thresholds, no output file; exits non-zero on any "
         "mismatch",
     )
@@ -868,33 +794,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         from repro import kernels
 
-        points = bench_fused_channel(
-            ["mint", "graphene"], intervals=120, repeats=1
-        )
         mismatches = 0
-        for point in points:
+        for point in bench_fused_channel(
+            ["mint", "graphene", "none"], intervals=120, repeats=1
+        ):
             status = "ok" if point["bit_identical"] else "MISMATCH"
             mismatches += not point["bit_identical"]
             print(
                 f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} fused identity [{status}]"
+                f"banks={point['num_banks']} identity across tiers "
+                f"(compiled provider: {point['provider']}) [{status}]"
             )
-        if kernels.available():
-            for point in bench_compiled_channel(
-                ["mint", "none"], intervals=120, repeats=1
-            ):
-                status = "ok" if point["bit_identical"] else "MISMATCH"
-                mismatches += not point["bit_identical"]
-                print(
-                    f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                    f"banks={point['num_banks']} compiled identity "
-                    f"({point['provider']}) [{status}]"
-                )
-        else:
+        if not kernels.available():
             print(
                 "compiled identity: skipped "
                 f"({kernels.unavailable_reason()})"
             )
+        mismatches += smoke_paper_scenario()
         mismatches += smoke_exp_service()
         if mismatches:
             print(f"ERROR: {mismatches} bit-identity check(s) failed")
@@ -954,47 +870,26 @@ def main(argv: list[str] | None = None) -> int:
     # needs more draws than the one-engine benches to shake shared-box
     # scheduling noise out of a cross-engine ratio.
     record["fused_channel_points"] = bench_fused_channel(
-        trackers[:2] + ["none"],
+        list(dict.fromkeys(trackers[:2] + ["mint", "none"])),
         max(args.intervals, 2000),
         max(args.repeats, 5),
     )
     for point in record["fused_channel_points"]:
         status = "ok" if point["bit_identical"] else "MISMATCH"
         failures += not point["bit_identical"]
+        compiled = (
+            f"compiled {point['compiled_acts_per_second']:>12,.0f}/s "
+            f"({point['provider']})  "
+            if point["provider"] is not None
+            else "compiled: no provider  "
+        )
         print(
             f"{point['tracker']:>10s} ranks={point['num_ranks']} "
             f"banks={point['num_banks']} "
-            f"lockstep {point['lockstep_acts_per_second']:>12,.0f}/s  "
+            f"scalar {point['scalar_acts_per_second']:>12,.0f}/s  "
             f"fused {point['fused_acts_per_second']:>12,.0f}/s  "
-            f"x{point['speedup_vs_lockstep']:<5.2f} [{status}]"
+            f"{compiled}[{status}]"
         )
-    # The compiled-tier acceptance point: same long-horizon workload,
-    # plus the compiled march (when a provider exists on this host).
-    record["compiled_channel_points"] = bench_compiled_channel(
-        list(dict.fromkeys([trackers[0], "mint", "none"])),
-        max(args.intervals, 2000),
-        max(args.repeats, 5),
-    )
-    for point in record["compiled_channel_points"]:
-        status = "ok" if point["bit_identical"] else "MISMATCH"
-        failures += not point["bit_identical"]
-        if point["provider"] is not None:
-            print(
-                f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} "
-                f"fused {point['fused_acts_per_second']:>12,.0f}/s  "
-                f"compiled {point['compiled_acts_per_second']:>12,.0f}/s "
-                f"({point['provider']})  "
-                f"x{point['speedup_vs_fused']:<5.2f} vs fused, "
-                f"x{point['speedup_vs_lockstep']:<5.2f} vs lockstep "
-                f"[{status}]"
-            )
-        else:
-            print(
-                f"{point['tracker']:>10s} ranks={point['num_ranks']} "
-                f"banks={point['num_banks']} compiled: no provider "
-                f"[{status}]"
-            )
     record["streaming"] = bench_streaming(
         intervals=2 * args.intervals, repeats=max(args.repeats, 3)
     )

@@ -1,6 +1,6 @@
-"""Compiled inner-loop backends for the fused channel kernel.
+"""Compiled inner-loop backends for the fused march.
 
-The fused channel tier still pays one Python dispatch per tREFI; this
+The fused march still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
 same-plan steps inside one compiled call (:mod:`repro.kernels.march`).
 Three interchangeable *providers* implement the identical march:

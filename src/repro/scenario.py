@@ -77,7 +77,7 @@ SCENARIO_VERSION = 1
 #: into fingerprints and task seeds — changing one re-keys every
 #: random stream and cache entry. ``excluded`` fields are pure
 #: implementation knobs whose values the engine pins bit-identical
-#: (scalar/vectorized/fused/compiled runs of one scenario share every
+#: (reference, fused and compiled runs of one scenario share every
 #: stream), so they must *never* join the hash. Adding a field without
 #: classifying it here is a lint error: deciding its fingerprint
 #: status is part of adding the field.
@@ -613,9 +613,9 @@ class Scenario:
             + (f"allowed (max {self.max_postponed})"
                if self.allow_postponement else "off"),
             f"  engine           "
-            + ("auto" if self.vectorized is None
-               else "vectorized" if self.vectorized else "scalar")
-            + f", backend {self.backend or 'auto'}",
+            + ("reference (per-ACT, sparse oracle)"
+               if self.vectorized is False
+               else f"fused march, backend {self.backend or 'auto'}"),
             f"  seed             {self.seed}",
             f"  task seed        {self.task_seed()}",
             f"  fingerprint      {self.fingerprint()}",

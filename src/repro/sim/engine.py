@@ -1,31 +1,37 @@
 """Event-level security simulator: channel → ranks → trackers → oracle.
 
-Two engine tiers share one streaming core. :class:`RankSimulator`
-drives a DDR5 *rank* — ``num_banks`` independent banks behind one
-refresh schedule — through an attack schedule chunk by chunk: the
-schedule may be a materialized trace or a lazy
-:class:`~repro.sim.trace.TraceStream`, and either way the per-interval
-work is identical (streamed runs are bit-identical to materialized
-ones, at bounded memory). :class:`ChannelSimulator` stacks
-``num_ranks`` rank simulators under one shared tREFI clock — the DDR5
-*channel*, where a memory controller interleaves activations across
-ranks sharing a command bus — and reports a
-:class:`~repro.sim.results.ChannelSimResult` of per-rank results.
+:class:`RankSimulator` drives a DDR5 *rank* — ``num_banks``
+independent banks behind one refresh schedule — through an attack
+schedule: a materialized trace or a lazy
+:class:`~repro.sim.trace.TraceStream`, consumed chunk by chunk either
+way (streamed runs are bit-identical to materialized ones, at bounded
+memory). :class:`ChannelSimulator` stacks ``num_ranks`` rank simulators
+under one shared tREFI clock — the DDR5 *channel*, where a memory
+controller interleaves activations across ranks sharing a command bus —
+and reports a :class:`~repro.sim.results.ChannelSimResult` of per-rank
+results.
 
-The rank engine processes each interval as follows. Each bank owns
-its own tracker instance (in-DRAM trackers are
-per-bank structures; the paper's storage numbers scale ×32 per rank)
-and its own row-disturbance oracle. Per interval, the demand ACT batch
-is split by bank and fed through the vectorized activation kernel: the
-interval's cached array view supplies each bank's batch, the engine
-computes the per-unique-row aggregation once and shares it between the
-tracker's ``on_activate_batch`` and the oracle's ``activate_many``
-neighbour scatter (``EngineConfig.vectorized=False`` falls back to the
-scalar per-ACT dispatch, bit-identically). At each tREFI boundary the
-shared :class:`RefreshScheduler` decides whether the rank's REF
-executes or is postponed (DDR5 allows four), and every executed REF
-performs each bank's rolling auto-refresh plus at most one
-tracker-directed mitigation per bank.
+Each bank owns its own tracker instance (in-DRAM trackers are per-bank
+structures; the paper's storage numbers scale ×32 per rank) and its own
+row-disturbance oracle. At each tREFI boundary the rank's
+:class:`RefreshScheduler` decides whether its REF executes or is
+postponed (DDR5 allows four), and every executed REF performs each
+bank's rolling auto-refresh plus at most one tracker-directed
+mitigation per bank.
+
+There is one production engine and one reference:
+
+* The *fused march* (:class:`_FusedChannelKernel`, the default) packs
+  every bank of every simulated rank into one dense ``(unit, row)``
+  array family, computes each tREFI's per-unique-row aggregation once
+  for all of them, and dispatches it as one tracker batch per bank plus
+  one packed disturbance scatter. Long runs of a replayed interval go
+  through a compiled march (:mod:`repro.kernels`) when a provider is
+  available. A rank run marches itself as a one-rank kernel; a channel
+  run marches all its ranks through one kernel.
+* The *reference engine* (``EngineConfig(vectorized=False)``) is the
+  per-ACT dispatch over the sparse dict oracle. Every production run is
+  pinned bit-identical to it.
 
 :class:`RankSimulator` is the canonical *engine* entry point — the
 canonical way to *describe and launch* an evaluation is the declarative
@@ -104,69 +110,23 @@ class EngineConfig:
     #: value above 1 selects :class:`ChannelSimulator` (a
     #: :class:`RankSimulator` rejects multi-rank configs).
     num_ranks: int = 1
-    #: Activation-kernel selection. ``None`` (auto) uses the vectorized
-    #: kernel — array-backed interval views, one shared per-unique-row
-    #: aggregation feeding batched oracle and tracker updates — whenever
-    #: NumPy is available; ``False`` forces the scalar per-ACT path with
-    #: the sparse dict oracle (the pre-vectorization engine). Both
-    #: produce bit-identical :class:`~repro.sim.results.RankSimResult`s;
-    #: the benchmark suite asserts it.
+    #: Engine selection. ``None`` (auto) runs the fused march whenever
+    #: NumPy is available; ``False`` selects the reference engine — the
+    #: per-ACT dispatch over the sparse dict oracle — that every
+    #: production run is pinned bit-identical to.
     vectorized: bool | None = None
-    #: Channel-kernel selection (read by :class:`ChannelSimulator`;
-    #: rank-level simulators ignore it). ``None`` (auto) runs the fused
-    #: multi-rank kernel — one packed ``(rank·bank, row)`` array family,
-    #: one whole-channel scatter per tREFI — whenever it applies (NumPy
-    #: present, ``vectorized`` not disabled, ``blast_radius == 1``, and
-    #: an ``oracle_backend`` compatible with dense storage); ``True``
-    #: requires it (raises when it cannot apply); ``False`` forces the
-    #: chunk-lockstep march of per-rank kernels. All three produce
-    #: bit-identical :class:`~repro.sim.results.ChannelSimResult`\ s
-    #: (pinned by the fused-equivalence property suite).
-    fused: bool | None = None
-    #: Per-bank disturbance-oracle storage override: ``"auto"``,
-    #: ``"sparse"`` or ``"dense"`` (see :mod:`repro.dram.rowstate`).
-    #: ``None`` keeps the kernel-derived default — sparse for the scalar
-    #: engine, auto-by-size for the vectorized one; the fused channel
-    #: kernel forces dense so bank oracles can adopt views into its
-    #: packed arrays.
-    oracle_backend: str | None = None
-    #: Compiled-tier selection under the fused channel kernel (see
+    #: Compiled-tier selection under the fused march (see
     #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
     #: through the best available compiled provider (Numba when the
     #: ``compiled`` extra is installed, the on-demand C build
-    #: otherwise) and falls back to the pure-NumPy fused path when none
+    #: otherwise) and falls back to the pure-NumPy march when none
     #: exists or a step does not qualify; ``"compiled"`` requires a
-    #: provider (raises at construction when none is available);
-    #: ``"numpy"`` pins today's fused path. Excluded from scenario
-    #: identity, like ``vectorized``/``fused`` — all three settings
-    #: produce bit-identical results (pinned by the property suite).
+    #: provider (raises at construction when none is available, and
+    #: rejects the reference engine, which has no compiled tier);
+    #: ``"numpy"`` pins the pure-NumPy march. Excluded from scenario
+    #: identity, like ``vectorized`` — every setting produces
+    #: bit-identical results (pinned by the property suite).
     backend: str = "auto"
-
-
-class _BankView:
-    """Read-only per-bank facade over a :class:`RankSimulator`.
-
-    Exists for the legacy ``rank_sim.simulators[i]`` access pattern from
-    the pre-rank fan-out API; exposes the bank's tracker and counters.
-    """
-
-    __slots__ = ("_sim", "bank")
-
-    def __init__(self, sim: "RankSimulator", bank: int) -> None:
-        self._sim = sim
-        self.bank = bank
-
-    @property
-    def tracker(self) -> Tracker:
-        return self._sim.trackers[self.bank]
-
-    @property
-    def mitigations(self) -> int:
-        return self._sim.bank_mitigations[self.bank]
-
-    @property
-    def demand_acts(self) -> int:
-        return self._sim.bank_demand_acts[self.bank]
 
 
 class RankSimulator:
@@ -241,19 +201,23 @@ class RankSimulator:
                 "EngineConfig.backend must be 'auto', 'compiled', or "
                 f"'numpy', not {c.backend!r}"
             )
-        if c.backend == "compiled":
-            # Fail loudly at construction when no compiled provider
-            # exists — the whole point of pinning "compiled" over
-            # "auto" (the compiled tier itself runs only under the
-            # fused channel kernel; a plain rank simulator accepts the
-            # pin but has no compiled path).
-            from ..kernels import require_compiled
-
-            require_compiled()
-        #: Resolved kernel choice: vectorized unless disabled or no NumPy.
+        #: Resolved engine choice: the fused march unless disabled or no
+        #: NumPy; otherwise the reference engine.
         self.vectorized = (
             c.vectorized if c.vectorized is not None else np is not None
         )
+        if c.backend == "compiled":
+            if not self.vectorized:
+                raise ValueError(
+                    "EngineConfig.backend='compiled' runs under the fused "
+                    "march, but vectorized=False selects the reference "
+                    "engine; use backend='auto' or drop vectorized=False"
+                )
+            # Fail loudly at construction when no compiled provider
+            # exists — the whole point of pinning "compiled" over "auto".
+            from ..kernels import require_compiled
+
+            require_compiled()
         self.device = DramDevice(
             DeviceConfig(
                 timing=c.timing,
@@ -262,16 +226,10 @@ class RankSimulator:
                 trh=c.trh,
                 blast_radius=c.blast_radius,
                 refi_per_refw=c.refi_per_refw,
-                # The scalar engine is pinned to the sparse dict oracle
-                # (the pre-vectorization hot path); the vectorized
-                # engine lets the oracle pick per bank size. An explicit
-                # ``oracle_backend`` (e.g. the fused channel kernel's
-                # dense requirement) overrides both.
-                backend=(
-                    c.oracle_backend
-                    if c.oracle_backend is not None
-                    else ("sparse" if not self.vectorized else "auto")
-                ),
+                # The fused march hands each bank oracle a view into its
+                # packed arrays, so it needs dense storage; the reference
+                # engine is pinned to the sparse dict oracle.
+                backend="dense" if self.vectorized else "sparse",
             )
         )
         self.trackers = [tracker_factory(bank) for bank in range(c.num_banks)]
@@ -281,18 +239,9 @@ class RankSimulator:
         self._bank_since = [dict() for _ in range(c.num_banks)]
         self._bank_peak = [dict() for _ in range(c.num_banks)]
         self._counts: Counter[int] = Counter()
-        # Per-batch aggregation memo for the vectorized kernel, keyed by
-        # batch-array identity: attack traces reuse one interval object
-        # (and hence one per-bank array) for thousands of tREFIs, so the
-        # unique/count/first-occurrence work is paid once per distinct
-        # interval. Entries hold the array ref, keeping ids stable;
-        # LRU-style eviction keeps the hot shared-interval entries when
-        # a trace streams unboundedly many distinct batches.
-        self._agg_cache: BoundedCache = BoundedCache(self._AGG_CACHE_LIMIT)
         self.bank_mitigations = [0] * c.num_banks
         self.bank_transitive_mitigations = [0] * c.num_banks
         self.bank_demand_acts = [0] * c.num_banks
-        self.simulators = [_BankView(self, bank) for bank in range(c.num_banks)]
         self.intervals = 0
         self._consumed = False
 
@@ -316,14 +265,10 @@ class RankSimulator:
         one schedule are bit-identical (pinned by the
         stream-equivalence tests).
 
-        The interval loop is the simulator's hot path: a full-grid
-        experiment pushes hundreds of millions of ACTs through it. The
-        vectorized kernel (the default, see
-        :attr:`EngineConfig.vectorized`) walks each interval's cached
-        array view, computes the per-unique-row aggregation once, and
-        shares it between the batched tracker update and the oracle's
-        neighbour scatter; the scalar kernel is the per-ACT dispatch it
-        replaced, kept as the equivalence baseline.
+        The rank marches itself as a one-rank fused kernel (the
+        default, see :attr:`EngineConfig.vectorized`) and the result
+        carries the kernel's path telemetry as ``kernel_stats``; the
+        reference engine is the per-ACT dispatch it is pinned against.
 
         A simulator instance runs exactly one schedule: trackers, the
         oracle, and every counter accumulate monotonically, so a second
@@ -332,65 +277,75 @@ class RankSimulator:
         ``Session``) per run.
         """
         self._guard_reuse()
-        c = self.config
         if isinstance(trace, (list, tuple)):
             trace = self._merge_bank_traces(trace)
-        if isinstance(trace, TraceStream):
-            budget = trace.act_budget
-            if (
-                c.validate_budget
-                and budget is not None
-                and budget > c.timing.max_act
-            ):
-                raise ValueError(
-                    f"stream {trace.name!r} declares up to {budget} ACTs "
-                    f"on one bank per tREFI, but at most "
-                    f"{c.timing.max_act} fit"
-                )
-            # A materialized schedule keeps the validate-before-execute
-            # contract — the whole trace is checked here, once, and the
-            # chunk loop skips the per-chunk re-validation (a lazy
-            # stream can only be checked chunk by chunk as produced).
-            prevalidated = False
-            if c.validate_budget and isinstance(trace, MaterializedStream):
-                trace.trace.validate(
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-                prevalidated = True
-            elif c.validate_budget and isinstance(trace, CycleStream):
-                # A cycle produces only its pattern's interval objects:
-                # validating the (truncated) pattern once is equivalent
-                # to checking every produced interval, and the first
-                # offence sits at its pattern index, so the message
-                # matches the chunk-wise check too.
-                validate_rank_intervals(
-                    trace.pattern[: trace.count],
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-                prevalidated = True
-            self.intervals = 0
-            for chunk in trace.chunks():
-                if prevalidated:
-                    self._feed(chunk)
-                else:
-                    self.feed(chunk)
-            return self.collect(trace.name)
-        if c.validate_budget:
-            if isinstance(trace, RankTrace):
-                trace.validate(
-                    c.timing.max_act,
-                    num_banks=self.num_banks,
-                    concurrent_banks=self.concurrent_banks,
-                )
-            else:
-                trace.validate(c.timing.max_act)
-        self.intervals = 0
-        self._feed(trace.intervals)
-        return self.collect(trace.name)
+        stream = as_trace_stream(trace)
+        prevalidated = self._prevalidate(stream)
+        intervals = self._intervals(stream, validate=not prevalidated)
+        if self.vectorized:
+            stats = _FusedChannelKernel([self], self.config).march(
+                [intervals]
+            )
+        else:
+            stats = None
+            self._feed(intervals)
+        result = self.collect(stream.name)
+        # Diagnostic side channel, deliberately not a dataclass field:
+        # results stay bit-identical across engines.
+        result.kernel_stats = stats
+        return result
+
+    def _prevalidate(self, stream: TraceStream, label: str = "") -> bool:
+        """Validate what ``stream`` allows upfront, before any interval
+        executes; True when that covered the whole schedule.
+
+        A materialized schedule keeps the validate-before-execute
+        contract. A cycle produces only its pattern's interval objects,
+        so validating the (truncated) pattern once is equivalent to
+        checking every produced interval, and the first offence sits at
+        its pattern index, so the message matches the chunk-wise check
+        too. Any other stream is checked chunk by chunk as produced.
+        """
+        c = self.config
+        if not c.validate_budget:
+            return True
+        budget = stream.act_budget
+        if budget is not None and budget > c.timing.max_act:
+            raise ValueError(
+                f"{label}stream {stream.name!r} declares up to {budget} "
+                f"ACTs on one bank per tREFI, but at most "
+                f"{c.timing.max_act} fit"
+            )
+        if isinstance(stream, MaterializedStream):
+            stream.trace.validate(
+                c.timing.max_act,
+                num_banks=self.num_banks,
+                concurrent_banks=self.concurrent_banks,
+            )
+        elif isinstance(stream, CycleStream):
+            self._validate(stream.pattern[: stream.count])
+        else:
+            return False
+        return True
+
+    def _intervals(self, stream: TraceStream, validate: bool):
+        """Flatten ``stream`` into intervals, budget-validating each
+        chunk as it is produced when ``validate`` is set."""
+        offset = 0
+        for chunk in stream.chunks():
+            if validate:
+                self._validate(chunk, start=offset)
+            offset += len(chunk)
+            yield from chunk
+
+    def _validate(self, intervals, start: int = 0) -> None:
+        validate_rank_intervals(
+            intervals,
+            self.config.timing.max_act,
+            num_banks=self.num_banks,
+            concurrent_banks=self.concurrent_banks,
+            start=start,
+        )
 
     def _guard_reuse(self) -> None:
         if self._consumed:
@@ -402,42 +357,24 @@ class RankSimulator:
             )
         self._consumed = True
 
-    def consume(self, stream: TraceStream) -> None:
-        """Drive one stream through the engine, chunk by chunk.
-
-        Each chunk is budget-validated (same rules and messages as the
-        materialized path, with the running interval offset) and fed to
-        the hot loop, then dropped — peak memory is one chunk plus the
-        bounded per-interval caches, independent of the horizon. Used
-        by :meth:`run` and, per rank, by :class:`ChannelSimulator`.
-        """
-        for chunk in stream.chunks():
-            self.feed(chunk)
-
     def feed(self, intervals: Sequence["RankInterval"]) -> None:
         """Advance the rank through ``intervals`` (one stream chunk).
 
         Incremental: the interval clock continues from where the last
         chunk left off, and budget validation (when configured) reports
-        stream-global interval indices. :meth:`collect` reports the
-        state accumulated so far.
+        stream-global interval indices. Feeding runs the reference
+        per-ACT dispatch (bit-identical to :meth:`run`).
+        :meth:`collect` reports the state accumulated so far.
         """
         if self.config.validate_budget:
-            validate_rank_intervals(
-                intervals,
-                self.config.timing.max_act,
-                num_banks=self.num_banks,
-                concurrent_banks=self.concurrent_banks,
-                start=self.intervals,
-            )
+            self._validate(intervals, start=self.intervals)
         self._feed(intervals)
 
     def _feed(self, intervals) -> None:
-        """The hot loop: absorb a run of intervals, tick the scheduler."""
+        """The reference hot loop: absorb intervals, tick the scheduler."""
         self._consumed = True
         c = self.config
-        vectorized = self.vectorized
-        absorb_acts = self._absorb_acts_vec if vectorized else self._absorb_acts
+        absorb_acts = self._absorb_acts
         scheduler_tick = self.scheduler.tick
         t_refi_ns = c.timing.t_refi_ns
         allow_postponement = c.allow_postponement
@@ -445,8 +382,7 @@ class RankSimulator:
         for interval in intervals:
             count += 1
             time_ns = count * t_refi_ns
-            split = interval.per_bank_arrays if vectorized else interval.per_bank
-            for bank, acts in split:
+            for bank, acts in interval.per_bank:
                 absorb_acts(bank, acts, time_ns)
             want_postpone = interval.postpone and allow_postponement
             event = scheduler_tick(want_postpone=want_postpone)
@@ -528,48 +464,6 @@ class RankSimulator:
             if total > peak.get(row, 0):
                 peak[row] = total
 
-    #: Memo ceiling; LRU-style eviction keeps the hot shared-interval
-    #: entries when a trace streams unboundedly many distinct batches.
-    _AGG_CACHE_LIMIT = 4096
-
-    def _absorb_acts_vec(
-        self, bank: int, acts: "np.ndarray", time_ns: float
-    ) -> None:
-        """Vectorized twin of :meth:`_absorb_acts` (one interval batch).
-
-        Computes the batch's per-unique-row aggregation once and shares
-        it: sorted ``(unique, counts)`` feeds the oracle's neighbour
-        scatter, the first-occurrence ordering feeds the tracker batch
-        update and the unmitigated-run counters (first-occurrence order
-        is what repeated scalar processing would produce, which the
-        tracker equivalence contract requires).
-        """
-        n = len(acts)
-        if n == 0:
-            return
-        self.bank_demand_acts[bank] += n
-        key = id(acts)
-        cached = self._agg_cache.get(key)
-        if cached is None:
-            uniq, first, counts = np.unique(
-                acts, return_index=True, return_counts=True
-            )
-            order = np.argsort(first, kind="stable")
-            tracker_agg = (uniq[order], counts[order])
-            items = list(zip(tracker_agg[0].tolist(), tracker_agg[1].tolist()))
-            cached = (acts, (uniq, counts), tracker_agg, items)
-            self._agg_cache.put(key, cached)
-        _, oracle_agg, tracker_agg, items = cached
-        self.trackers[bank].on_activate_batch(acts, tracker_agg)
-        self.device.activate_many(bank, acts, time_ns, agg=oracle_agg)
-        since = self._bank_since[bank]
-        peak = self._bank_peak[bank]
-        for row, count in items:
-            total = since.get(row, 0) + count
-            since[row] = total
-            if total > peak.get(row, 0):
-                peak[row] = total
-
     def _refresh(self, time_ns: float) -> None:
         """One rank-level REF: every bank sweeps its auto-refresh slice
         and may land one tracker-directed mitigation."""
@@ -612,27 +506,26 @@ _CACHE_MISS = object()
 
 
 class _FusedChannelKernel:
-    """One flat multi-rank activation kernel — the fused channel tier.
+    """The fused march: the production engine for ranks and channels.
 
-    The lockstep march pays one Python call per (rank, bank) per tREFI;
-    on an 8-bank/4-rank channel that is 32 tracker/oracle/counter
-    dispatches per interval, and per-rank throughput stays flat as
-    ranks are added. This kernel owns a single packed ``(unit, row)``
-    array family — ``unit = rank * num_banks + bank`` — and marches
-    every rank interval-by-interval under the shared tREFI clock:
+    Marches one or more :class:`RankSimulator`\\ s interval-by-interval
+    under a shared tREFI clock through a single packed ``(unit, row)``
+    array family — ``unit = rank * num_banks + bank`` — instead of one
+    Python dispatch per (rank, bank) per tREFI. A rank run is a
+    one-rank kernel; a channel run puts every rank in one kernel.
 
     * Each bank's :class:`~repro.dram.rowstate.DenseRowDisturbanceModel`
       *adopts* a row view into the packed arrays (``adopt_storage``), so
-      packed whole-channel stores and every per-bank operation
+      packed whole-kernel stores and every per-bank operation
       (mitigate, exact replay, queries, ``collect``) read and write the
       same memory — bit-identity holds by construction, not by
       mirroring.
     * Per step, the per-unique-row aggregation is computed once across
-      the whole channel (one ``np.unique`` over a packed
-      rank×bank×row key) and dispatched three ways: per-unit tracker
-      batch updates, the unmitigated-run counters, and ONE packed
-      disturbance scatter (reset + bincount + fancy-index store) with a
-      packed flip pre-check.
+      every unit (one ``np.unique`` over a packed rank×bank×row key) and
+      dispatched three ways: per-unit tracker batch updates, the
+      unmitigated-run counters, and ONE packed disturbance scatter
+      (reset + bincount + fancy-index store) with a packed flip
+      pre-check.
     * REF rounds fuse the rolling auto-refresh into one 2-D slice store
       across every refreshing rank, and the common mitigation shape
       (a single distance-1 request per bank) into one packed
@@ -642,32 +535,46 @@ class _FusedChannelKernel:
     code paths operating on the very same adopted arrays: intervals
     with aggressor/victim adjacency or new flips replay through
     ``activate_many`` (which replays exactly), and victim-centric /
-    transitive / multi-request REFs go through ``RankSimulator._apply``
-    unchanged. Reordering *across* units is unobservable — ranks and
-    banks are independent by construction, and every fused sum is
-    integer-valued float64 far below 2**53, so addition order cannot
-    change a bit.
+    transitive / multi-request REFs go through :meth:`_apply_slow`, the
+    packed-counter twin of ``RankSimulator._apply``. The packed scatters
+    are radius-1 math, so under any other ``blast_radius`` every unit
+    replays exactly, every REF goes through :meth:`_apply_slow`, and the
+    compiled tier stays off. Reordering *across* units is unobservable
+    — ranks and banks are independent by construction, and every fused
+    sum is integer-valued float64 far below 2**53, so addition order
+    cannot change a bit.
 
     Per-step plans (aggregations, packed keys, tracker dispatch tuples)
     are memoized per distinct step in a bounded LRU cache keyed by the
     step's interval-object identities — attack traces replay a few
     shared interval objects for thousands of tREFIs, so the Python plan
     cost is paid once per distinct step.
+
+    The kernel holds its simulators but nothing holds the kernel: it
+    lives for one :meth:`march`, so a finished simulator is freed by
+    reference counting alone.
     """
 
-    #: Plan-memo ceiling (same LRU-eviction policy as the rank caches).
+    #: Plan-memo ceiling (LRU eviction keeps the hot shared-interval
+    #: entries when a trace streams unboundedly many distinct steps).
     _PLAN_CACHE_LIMIT = 4096
+    #: Shortest replay run handed to the compiled march, and the
+    #: longest one marched in a single call.
+    _min_compiled_run = 16
+    _max_compiled_chunk = 4096
 
-    def __init__(self, channel: "ChannelSimulator") -> None:
-        c = channel.config
-        self.channel = channel
+    def __init__(self, ranks: list[RankSimulator], config: EngineConfig) -> None:
+        c = config
+        self.ranks = ranks
         self.num_banks = c.num_banks
-        self.num_ranks = channel.num_ranks
+        self.num_ranks = len(ranks)
         self.num_rows = c.num_rows
         self.units = self.num_ranks * self.num_banks
         self.trh = float(c.trh)
         self.t_refi_ns = c.timing.t_refi_ns
         self.allow_postponement = c.allow_postponement
+        #: Whether the radius-1 packed scatters apply (see class doc).
+        self._radius1 = c.blast_radius == 1
         self.dist = np.zeros((self.units, self.num_rows), dtype=np.float64)
         self.peak = np.zeros((self.units, self.num_rows), dtype=np.float64)
         self.flipped = np.zeros((self.units, self.num_rows), dtype=bool)
@@ -693,7 +600,7 @@ class _FusedChannelKernel:
         # unit first activates.
         self._row_lo = [self.num_rows] * self.units
         self._row_hi = [0] * self.units
-        for rank, sim in enumerate(channel.ranks):
+        for rank, sim in enumerate(ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 sim.device.banks[bank].adopt_storage(
@@ -721,9 +628,9 @@ class _FusedChannelKernel:
         # bumps from the slow paths).
         self.mitig = np.zeros(self.units, dtype=np.int64)
         self._any_observing = any(
-            sim.trackers[bank].observes_mitigations
-            for sim in channel.ranks
-            for bank in range(self.num_banks)
+            tracker.observes_mitigations
+            for sim in ranks
+            for tracker in sim.trackers
         )
         # Packed per-unit demand tally (same fold-at-materialize deal as
         # ``mitig``): one fancy increment per step replaces the per-unit
@@ -742,17 +649,15 @@ class _FusedChannelKernel:
                 )
                 for bank in range(self.num_banks)
             ]
-            for rank, sim in enumerate(channel.ranks)
+            for rank, sim in enumerate(ranks)
         ]
         # Rolling auto-refresh bookkeeping, kept kernel-side: the slice
         # math is inlined per round and the device counters (untouched
         # during a fused run) are synced back in ``materialize``.
-        dev = channel.ranks[0].device
+        dev = ranks[0].device
         self._refw = dev.config.refi_per_refw
         self._slice_rows = dev._rows_per_slice
-        self._ref_counts = [
-            sim.device._ref_counter[0] for sim in channel.ranks
-        ]
+        self._ref_counts = [sim.device._ref_counter[0] for sim in ranks]
         self.steps = 0
         # Kernel-path telemetry (exposed via ``stats()``): fused
         # fast-path steps vs order-sensitive slow-path steps vs steps
@@ -779,20 +684,21 @@ class _FusedChannelKernel:
         # arrays and the bound may go stale near the threshold).
         self._march_fn = None
         self._provider = None
-        if channel.backend == "compiled":
-            from ..kernels import get_march
+        if c.backend != "numpy" and self._radius1:
+            from .. import kernels
 
-            self._march_fn = get_march()
-            self._provider = channel._provider
+            self._march_fn = kernels.get_march()
+            self._provider = kernels.provider()
         self._compiled_off = self._march_fn is None
-        self._min_compiled_run = 16
-        self._max_compiled_chunk = 4096
         self._lowered_cache = BoundedCache(self._PLAN_CACHE_LIMIT)
         self._cstate = None
 
     # ------------------------------------------------------------------
-    def march(self, iterators: dict[int, "Iterator"]) -> None:
-        """Drain per-rank interval iterators in interval lockstep.
+    def march(self, iterators: list) -> dict:
+        """Drain one interval iterator per rank in interval lockstep,
+        fold the packed state back into the simulators
+        (:meth:`materialize`), and return the path telemetry
+        (:meth:`stats`).
 
         Every still-active rank advances by exactly one interval per
         step, so the shared tREFI clock is common to all active ranks;
@@ -813,10 +719,10 @@ class _FusedChannelKernel:
         """
         self._run_state = {
             rank: [groupby(it, key=id), None]
-            for rank, it in iterators.items()
+            for rank, it in enumerate(iterators)
         }
         current: dict[int, list] = {}
-        for rank in sorted(self._run_state):
+        for rank in range(len(iterators)):
             run = self._next_run(rank)
             if run is not None:
                 current[rank] = [run[0], run[1]]
@@ -835,6 +741,8 @@ class _FusedChannelKernel:
                         del current[rank]
                     else:
                         state[0], state[1] = run
+        self.materialize()
+        return self.stats()
 
     def _next_run(self, rank: int):
         """Pull one rank's next ``(interval, count)`` replay run.
@@ -965,7 +873,7 @@ class _FusedChannelKernel:
         elif reset_keys.size:
             self.dist_flat[reset_keys] = 0.0
         # Shared tREFI boundary: every active rank's scheduler ticks.
-        ranks = self.channel.ranks
+        ranks = self.ranks
         allow = self.allow_postponement
         ref_ranks = []
         counts = []
@@ -1011,7 +919,7 @@ class _FusedChannelKernel:
         """
         B = self.num_banks
         rows_n = self.num_rows
-        ranks = self.channel.ranks
+        ranks = self.ranks
         unit_cols = []
         row_cols = []
         acts_by_unit: dict[int, "np.ndarray"] = {}
@@ -1119,9 +1027,12 @@ class _FusedChannelKernel:
                     self._row_lo[unit] = lo
                 if hi > self._row_hi[unit]:
                     self._row_hi[unit] = hi
-            if uniq.size > 1 and bool(np.any(np.diff(uniq) == 1)):
-                # Aggressor/victim interleaving within the bank: the
-                # in-batch order of self-refreshes is observable.
+            if not self._radius1 or (
+                uniq.size > 1 and bool(np.any(np.diff(uniq) == 1))
+            ):
+                # Aggressor/victim interleaving within the bank (the
+                # in-batch order of self-refreshes is observable), or a
+                # blast radius the packed scatter does not model.
                 exact_units.append((model, acts, agg))
                 continue
             scatter_units.append((model, acts, agg))
@@ -1238,6 +1149,7 @@ class _FusedChannelKernel:
                     len(requests) == 1
                     and type(requests[0]) is MitigationRequest
                     and requests[0].distance == 1
+                    and self._radius1
                 ):
                     request = requests[0]
                     fused.append(entry)
@@ -1432,7 +1344,7 @@ class _FusedChannelKernel:
 
         kind = np.zeros(self.units, dtype=np.int64)
         mints: list = [None] * self.units
-        for rank, sim in enumerate(self.channel.ranks):
+        for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 tracker = sim.trackers[bank]
@@ -1564,7 +1476,7 @@ class _FusedChannelKernel:
             demand_counts,
             step_gain,
         ) = lowered
-        ranks = self.channel.ranks
+        ranks = self.ranks
         # Postponement makes REF counts per step data-dependent; the
         # compiled march assumes exactly one REF per active rank.
         if self.allow_postponement and postpone_any:
@@ -1750,7 +1662,7 @@ class _FusedChannelKernel:
         scalar path accumulates (dict ordering may differ, which
         neither equality nor the canonical sorted-JSON form observes).
         """
-        for rank, sim in enumerate(self.channel.ranks):
+        for rank, sim in enumerate(self.ranks):
             for bank in range(self.num_banks):
                 unit = rank * self.num_banks + bank
                 # speak only ever gets written at in-range activated
@@ -1803,14 +1715,12 @@ class ChannelSimulator:
     property the tests pin, and what makes the paper's per-tracker
     security claims composable into channel-level MTTF accounting.
 
-    Two marches implement that contract. The default is the *fused*
-    kernel (:class:`_FusedChannelKernel`): one packed
-    ``(rank·bank, row)`` array family, one whole-channel scatter per
-    tREFI, adopted by every bank oracle as views — selected per
-    :attr:`EngineConfig.fused` whenever it applies. The fallback is the
-    chunk-granular lockstep march of independent per-rank kernels.
-    Both produce bit-identical results (pinned by the fused-equivalence
-    property suite).
+    The fused march (:class:`_FusedChannelKernel`) runs every rank
+    through one packed ``(rank·bank, row)`` array family, one
+    whole-channel scatter per tREFI; the reference engine
+    (``vectorized=False``) runs each rank alone, since ranks are
+    independent. Both produce bit-identical results (pinned by the
+    channel identity property suite).
 
     Parameters
     ----------
@@ -1849,65 +1759,13 @@ class ChannelSimulator:
         self.config = c
         self.num_ranks = c.num_ranks
         self.num_banks = c.num_banks
-        # Resolve the channel kernel. The fused kernel needs NumPy (it
-        # is a vectorized tier), radius-1 disturbance (its packed
-        # scatter math), and dense per-bank oracles (it hands each bank
-        # a view into its packed arrays).
-        fused_possible = (
-            np is not None
-            and c.vectorized is not False
-            and c.blast_radius == 1
-            and c.oracle_backend in (None, "dense")
-        )
-        if c.fused and not fused_possible:
-            raise RuntimeError(
-                "EngineConfig.fused=True requires numpy, a vectorized "
-                "kernel (vectorized must not be False), blast_radius == 1, "
-                "and oracle_backend None or 'dense'"
-            )
-        #: Resolved channel-kernel choice (see :attr:`EngineConfig.fused`).
-        self.fused = fused_possible if c.fused is None else bool(c.fused)
-        # Resolve the compiled tier (see EngineConfig.backend): it runs
-        # under the fused kernel only, through the best available
-        # provider. "compiled" asserts both; "auto" quietly falls back
-        # to the pure-NumPy fused path.
-        if c.backend == "compiled":
-            from ..kernels import provider, require_compiled
-
-            require_compiled()
-            if not self.fused:
-                raise RuntimeError(
-                    "EngineConfig.backend='compiled' runs under the "
-                    "fused channel kernel, which this config disables "
-                    "or cannot apply (see EngineConfig.fused); use "
-                    "backend='auto' or re-enable the fused kernel"
-                )
-            self.backend = "compiled"
-            self._provider = provider()
-        elif c.backend == "auto" and self.fused:
-            from ..kernels import available, provider
-
-            self.backend = "compiled" if available() else "numpy"
-            self._provider = provider()
-        else:
-            self.backend = "numpy"
-            self._provider = None
-        rank_config = replace(c, num_ranks=1, fused=False)
-        if self.fused:
-            # Dense everywhere (sparse == dense is pinned by the oracle
-            # backend tests) so every bank can adopt packed views, and
-            # the vectorized per-rank kernels as the fallback paths.
-            rank_config = replace(
-                rank_config, vectorized=True, oracle_backend="dense"
-            )
         self.ranks = [
             RankSimulator(
                 (lambda bank, _rank=rank: tracker_factory(_rank, bank)),
-                rank_config,
+                replace(c, num_ranks=1),
             )
             for rank in range(c.num_ranks)
         ]
-        self._kernel = _FusedChannelKernel(self) if self.fused else None
         self._consumed = False
 
     def run(
@@ -1927,12 +1785,12 @@ class ChannelSimulator:
         them chunk by chunk. Lazy streams are validated chunk by chunk
         as produced, under identical rules and messages.
 
-        The fused kernel marches all ranks interval-by-interval through
-        one packed array family; the lockstep fallback advances every
-        still-active rank by one chunk per round. Either way peak
-        memory is one chunk per rank, and because REF scheduling — the
-        only cross-bank coupling inside a rank — is per rank, the
-        interleaving order cannot affect any rank's bits.
+        The fused march advances all ranks interval-by-interval through
+        one packed array family; the reference engine runs each rank
+        alone. Either way peak memory is one chunk per rank, and
+        because REF scheduling — the only cross-bank coupling inside a
+        rank — is per rank, the interleaving order cannot affect any
+        rank's bits.
 
         Like :meth:`RankSimulator.run`, a channel instance runs exactly
         one schedule; reuse raises ``RuntimeError``.
@@ -1952,114 +1810,38 @@ class ChannelSimulator:
                 f"{channel.num_ranks - 1}, but the channel has "
                 f"{self.num_ranks} ranks"
             )
-        streams = {
-            rank: channel.rank_stream(rank) for rank in range(self.num_ranks)
-        }
-        c = self.config
-        prevalidated: set[int] = set()
-        if c.validate_budget:
-            for rank, stream in streams.items():
-                budget = stream.act_budget
-                if budget is not None and budget > c.timing.max_act:
-                    raise ValueError(
-                        f"rank {rank} stream {stream.name!r} declares up "
-                        f"to {budget} ACTs on one bank per tREFI, but at "
-                        f"most {c.timing.max_act} fit"
-                    )
-                # Materialized schedules keep the rank engine's
-                # validate-before-execute contract: the whole trace is
-                # checked here, once, before any rank absorbs an
-                # interval, and the march skips the per-chunk
-                # re-validation (a lazy stream can only be checked
-                # chunk by chunk as it is produced).
-                if isinstance(stream, MaterializedStream):
-                    rank_sim = self.ranks[rank]
-                    stream.trace.validate(
-                        c.timing.max_act,
-                        num_banks=rank_sim.num_banks,
-                        concurrent_banks=rank_sim.concurrent_banks,
-                    )
-                    prevalidated.add(rank)
-                elif isinstance(stream, CycleStream):
-                    # A cycle produces only its pattern's interval
-                    # objects, so validating the (truncated) pattern once
-                    # is exactly equivalent to checking every produced
-                    # interval — and the first offending occurrence sits
-                    # at its pattern index, so the message matches too.
-                    rank_sim = self.ranks[rank]
-                    validate_rank_intervals(
-                        stream.pattern[: stream.count],
-                        c.timing.max_act,
-                        num_banks=rank_sim.num_banks,
-                        concurrent_banks=rank_sim.concurrent_banks,
-                    )
-                    prevalidated.add(rank)
-        for sim in self.ranks:
-            # the channel marches its member rank simulators itself
-            # repro-lint: allow[private-poke] marks members spent
-            sim._consumed = True
-        if self._kernel is not None:
-            self._kernel.march(
-                {
-                    rank: self._validated_intervals(
-                        rank, stream, rank in prevalidated
-                    )
-                    for rank, stream in streams.items()
-                }
-            )
-            self._kernel.materialize()
-        else:
-            active = {
-                rank: stream.chunks() for rank, stream in streams.items()
-            }
-            while active:
-                for rank in sorted(active):
-                    chunk = next(active[rank], None)
-                    if chunk is None:
-                        del active[rank]
-                        continue
-                    if rank in prevalidated or not c.validate_budget:
-                        self.ranks[rank]._feed(chunk)
-                    else:
-                        self.ranks[rank].feed(chunk)
-        per_rank = [
-            self.ranks[rank].collect(streams[rank].name)
-            for rank in range(self.num_ranks)
+        streams = [channel.rank_stream(rank) for rank in range(self.num_ranks)]
+        # Every upfront check runs before any rank absorbs an interval.
+        prevalidated = [
+            sim._prevalidate(stream, label=f"rank {rank} ")
+            for rank, (sim, stream) in enumerate(zip(self.ranks, streams))
         ]
+        intervals = []
+        for sim, stream, checked in zip(self.ranks, streams, prevalidated):
+            sim._guard_reuse()
+            intervals.append(sim._intervals(stream, validate=not checked))
+        if self.ranks[0].vectorized:
+            stats = _FusedChannelKernel(self.ranks, self.config).march(
+                intervals
+            )
+        else:
+            stats = None
+            for sim, rank_intervals in zip(self.ranks, intervals):
+                sim._feed(rank_intervals)
         result = ChannelSimResult(
             trace=channel.name,
             intervals=max(
                 (sim.intervals for sim in self.ranks), default=0
             ),
-            per_rank=per_rank,
+            per_rank=[
+                sim.collect(stream.name)
+                for sim, stream in zip(self.ranks, streams)
+            ],
         )
-        if self._kernel is not None:
-            # Diagnostic side channel, deliberately not a dataclass
-            # field: results stay bit-identical across backends.
-            result.kernel_stats = self._kernel.stats()
+        # Diagnostic side channel, deliberately not a dataclass field:
+        # results stay bit-identical across engines.
+        result.kernel_stats = stats
         return result
-
-    def _validated_intervals(
-        self, rank: int, stream: TraceStream, prevalidated: bool
-    ):
-        """Flatten one rank's stream into intervals for the fused march,
-        budget-validating each chunk as produced unless the whole
-        schedule was already validated upfront."""
-        sim = self.ranks[rank]
-        c = self.config
-        validate = c.validate_budget and not prevalidated
-        offset = 0
-        for chunk in stream.chunks():
-            if validate:
-                validate_rank_intervals(
-                    chunk,
-                    c.timing.max_act,
-                    num_banks=sim.num_banks,
-                    concurrent_banks=sim.concurrent_banks,
-                    start=offset,
-                )
-            offset += len(chunk)
-            yield from chunk
 
     def _coerce(self, trace) -> ChannelTrace:
         if isinstance(trace, ChannelTrace):

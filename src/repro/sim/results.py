@@ -101,6 +101,10 @@ class RankSimResult:
     refreshes: int = 0
     per_bank: list[SimResult] = field(default_factory=list)
 
+    #: Kernel-path telemetry attached by fused rank runs; the same side
+    #: channel as :attr:`ChannelSimResult.kernel_stats`.
+    kernel_stats = None
+
     @property
     def num_banks(self) -> int:
         return len(self.per_bank)
@@ -171,7 +175,7 @@ class RankSimResult:
             )
         return "\n".join(lines)
 
-    def to_payload(self) -> dict:
+    def to_payload(self, include_kernel_stats: bool = False) -> dict:
         """Flatten into JSON-safe metrics.
 
         Rank-level aggregates at the top level (so single-bank
@@ -179,13 +183,15 @@ class RankSimResult:
         working), per-bank :meth:`SimResult.to_payload` dicts under
         ``per_bank``, and a row-wise maximum of the unmitigated-run
         counters so the Table-IV accessor works on rank results too.
+        ``include_kernel_stats`` works as on
+        :meth:`ChannelSimResult.to_payload`.
         """
         merged: dict[int, float] = {}
         for bank_result in self.per_bank:
             for row, value in bank_result.max_unmitigated.items():
                 if value > merged.get(row, 0):
                     merged[row] = value
-        return {
+        payload = {
             "tracker": self.tracker,
             "trace": self.trace,
             "intervals": self.intervals,
@@ -212,6 +218,9 @@ class RankSimResult:
             },
             "per_bank": [r.to_payload() for r in self.per_bank],
         }
+        if include_kernel_stats and self.kernel_stats is not None:
+            payload["kernel_stats"] = dict(self.kernel_stats)
+        return payload
 
 
 @dataclass

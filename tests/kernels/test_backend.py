@@ -1,18 +1,20 @@
 """Backend selection, fallback, and telemetry pins for the compiled tier.
 
 ``EngineConfig.backend`` is a pure implementation knob: ``"compiled"``
-must fail loudly when no provider exists, ``"auto"`` must fall back to
-the pure-NumPy fused path bit-identically, and whatever path executes,
-the kernel telemetry has to account for every step.
+must fail loudly when no provider exists (or when the reference engine
+is selected), ``"auto"`` must fall back to the pure-NumPy fused march
+bit-identically, and whatever path executes, the kernel telemetry has
+to account for every step.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro import kernels
 from repro.kernels import forced_provider
+from repro.scenario import Scenario, Session
 from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 from repro.trackers.registry import channel_tracker_factory
@@ -98,16 +100,26 @@ class TestSelection:
                     _config("compiled", num_ranks=1),
                 )
 
-    def test_compiled_requires_fused_kernel(self):
-        config = EngineConfig(
-            num_banks=2, num_ranks=2, num_rows=NUM_ROWS,
-            fused=False, backend="compiled",
-        )
-        with forced_provider("interpreted"):
-            with pytest.raises(RuntimeError, match="fused"):
-                ChannelSimulator(
-                    channel_tracker_factory("mint", seed=1), config
-                )
+    def test_compiled_rejects_the_reference_engine_on_every_geometry(self):
+        """One rule for every geometry: the compiled tier runs under the
+        fused march, so pinning it on the reference engine is rejected
+        with the same message for a rank and a channel scenario."""
+        messages = []
+        for num_ranks in (1, 2):
+            scenario = Scenario(
+                tracker="mint",
+                attack="double-sided",
+                intervals=4,
+                num_ranks=num_ranks,
+                vectorized=False,
+                backend="compiled",
+            )
+            with forced_provider("interpreted"):
+                with pytest.raises(ValueError, match="compiled") as excinfo:
+                    Session(scenario).run()
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert "vectorized=False" in messages[0]
 
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
@@ -184,12 +196,31 @@ class TestTelemetry:
         opted_in = result.to_payload(include_kernel_stats=True)
         assert opted_in["kernel_stats"] == result.kernel_stats
 
-    def test_unfused_run_attaches_no_stats(self):
+    def test_reference_run_attaches_no_stats(self):
         simulator = ChannelSimulator(
             channel_tracker_factory("mint", seed=11),
             EngineConfig(
-                num_banks=2, num_ranks=2, num_rows=NUM_ROWS, fused=False
+                num_banks=2, num_ranks=2, num_rows=NUM_ROWS, vectorized=False
             ),
         )
         result = simulator.run(_trace(2))
         assert result.kernel_stats is None
+        rank_result = Session(
+            Scenario(tracker="mint", attack="double-sided", intervals=4,
+                     vectorized=False)
+        ).run()
+        assert rank_result.kernel_stats is None
+
+    def test_single_rank_run_reports_kernel_stats(self):
+        """A rank run marches as a one-rank kernel: its result carries
+        the same telemetry side channel as a channel result, outside the
+        canonical payload."""
+        scenario = Scenario(tracker="mint", attack="double-sided", seed=3)
+        result = Session(scenario).run()
+        stats = result.kernel_stats
+        assert stats["steps"] == result.intervals == scenario.intervals
+        reference = Session(replace(scenario, vectorized=False)).run()
+        assert result.to_payload() == reference.to_payload()
+        assert "kernel_stats" not in result.to_payload()
+        opted_in = result.to_payload(include_kernel_stats=True)
+        assert opted_in["kernel_stats"] == stats

@@ -246,7 +246,8 @@ class TestDmqBatchEquivalence:
 
 
 class TestEngineKernelEquivalence:
-    """scalar engine == vectorized engine, bit for bit."""
+    """reference engine == fused march on a rank, bit for bit, at any
+    blast radius."""
 
     @given(
         tracker=st.sampled_from(
@@ -268,6 +269,7 @@ class TestEngineKernelEquivalence:
             max_size=8,
         ),
         allow_postponement=st.booleans(),
+        blast_radius=st.sampled_from([1, 2]),
     )
     @SLOW_SETTINGS
     def test_rank_sim_results_bit_identical(
@@ -278,6 +280,7 @@ class TestEngineKernelEquivalence:
         seed,
         interval_specs,
         allow_postponement,
+        blast_radius,
     ):
         from repro.trackers.registry import bank_tracker_factory
 
@@ -299,27 +302,28 @@ class TestEngineKernelEquivalence:
                     num_banks=num_banks,
                     trh=trh,
                     num_rows=2048,
+                    blast_radius=blast_radius,
                     allow_postponement=allow_postponement,
                     validate_budget=False,
                     vectorized=vectorized,
                 ),
             )
             results.append(simulator.run(trace))
-        scalar_result, vector_result = results
-        assert json.dumps(asdict(scalar_result), sort_keys=True) == json.dumps(
-            asdict(vector_result), sort_keys=True
-        )
+        reference_result, fused_result = results
+        assert json.dumps(
+            asdict(reference_result), sort_keys=True
+        ) == json.dumps(asdict(fused_result), sort_keys=True)
 
 
 class TestFusedChannelEquivalence:
-    """fused kernel == lockstep march == scalar engine, bit for bit.
+    """fused march == reference engine on a channel, bit for bit.
 
-    The fused channel tier reorders freely across (rank, bank) units
-    and falls back to the per-bank paths for anything order-sensitive
-    within a unit, so its contract is exact equivalence with both the
-    per-rank lockstep march and the fully scalar engine — across every
-    registry tracker, rank count, streamed and materialized input,
-    empty intervals, and flip-heavy thresholds.
+    The fused march reorders freely across (rank, bank) units and falls
+    back to the per-bank paths for anything order-sensitive within a
+    unit, so its contract is exact equivalence with the reference
+    engine — across every registry tracker, rank count, blast radius,
+    streamed and materialized input, empty intervals, and flip-heavy
+    thresholds.
     """
 
     @given(
@@ -332,6 +336,7 @@ class TestFusedChannelEquivalence:
         seed=st.integers(0, 2**20),
         streamed=st.booleans(),
         allow_postponement=st.booleans(),
+        blast_radius=st.sampled_from([1, 2]),
         rank_specs=st.lists(  # one list of interval specs per rank
             st.lists(
                 st.tuples(
@@ -361,6 +366,7 @@ class TestFusedChannelEquivalence:
         seed,
         streamed,
         allow_postponement,
+        blast_radius,
         rank_specs,
     ):
         from dataclasses import replace
@@ -390,15 +396,15 @@ class TestFusedChannelEquivalence:
             num_ranks=num_ranks,
             trh=trh,
             num_rows=NUM_ROWS,
+            blast_radius=blast_radius,
             allow_postponement=allow_postponement,
             validate_budget=False,
             refi_per_refw=8,
         )
         outputs = []
         for overrides in (
-            dict(fused=True, vectorized=True),
-            dict(fused=False, vectorized=True),
-            dict(fused=False, vectorized=False),
+            dict(vectorized=True, backend="numpy"),
+            dict(vectorized=False),
         ):
             simulator = ChannelSimulator(
                 channel_tracker_factory(tracker, seed=seed),
@@ -406,7 +412,7 @@ class TestFusedChannelEquivalence:
             )
             result = simulator.run(channel)
             outputs.append(json.dumps(asdict(result), sort_keys=True))
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
 
 def _march_providers():
@@ -425,7 +431,7 @@ def _march_providers():
 
 
 class TestCompiledMarchEquivalence:
-    """compiled march == fused == lockstep == scalar, bit for bit.
+    """compiled march == numpy march == reference engine, bit for bit.
 
     The compiled tier only engages on runs of consecutive tREFIs that
     replay the same interval objects, so these pins drive *cyclic*
@@ -433,7 +439,7 @@ class TestCompiledMarchEquivalence:
     and lower the kernel's minimum run length to 1 — every qualifying
     step goes through the compiled call, including single-step marches,
     flip-safety bails, and mid-run plan switches. Every available
-    provider must agree with all three pure-Python engines.
+    provider must agree with both pure-Python engines.
     """
 
     @pytest.mark.parametrize("provider", _march_providers())
@@ -480,7 +486,7 @@ class TestCompiledMarchEquivalence:
         from dataclasses import replace
 
         from repro.kernels import forced_provider
-        from repro.sim.engine import ChannelSimulator
+        from repro.sim.engine import ChannelSimulator, _FusedChannelKernel
         from repro.sim.trace import (
             ChannelTrace,
             CycleStream,
@@ -522,19 +528,17 @@ class TestCompiledMarchEquivalence:
         )
         outputs = []
         for overrides in (
-            dict(fused=True, vectorized=True, backend="compiled"),
-            dict(fused=True, vectorized=True, backend="numpy"),
-            dict(fused=False, vectorized=True),
-            dict(fused=False, vectorized=False),
+            dict(vectorized=True, backend="compiled"),
+            dict(vectorized=True, backend="numpy"),
+            dict(vectorized=False),
         ):
-            with forced_provider(provider):
+            with forced_provider(provider), pytest.MonkeyPatch.context() as mp:
+                # Engage the march on every run, not just long ones.
+                mp.setattr(_FusedChannelKernel, "_min_compiled_run", 1)
                 simulator = ChannelSimulator(
                     channel_tracker_factory(tracker, seed=seed),
                     replace(base, **overrides),
                 )
-                if simulator.backend == "compiled":
-                    # Engage the march on every run, not just long ones.
-                    simulator._kernel._min_compiled_run = 1
                 result = simulator.run(make_channel())
             outputs.append(json.dumps(asdict(result), sort_keys=True))
-        assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -11,8 +11,10 @@ The contract under test:
   ``Session`` facade for **every** registry tracker.
 """
 
+import gc
 import json
 import string
+import weakref
 from dataclasses import asdict, replace
 
 import pytest
@@ -280,6 +282,47 @@ class TestShimEquivalence:
             seed=scenario.task_seed(),
         )
         assert legacy == facade
+
+
+class TestSimulatorLifetime:
+    """Finished simulators hold their dense oracle arrays; they must be
+    freed by reference counting alone, not left to the cycle collector
+    (which a long sweep or MC loop may not run before memory peaks)."""
+
+    @pytest.mark.parametrize("num_ranks", [1, 2])
+    def test_session_simulator_dies_with_the_session(self, num_ranks):
+        gc.collect()
+        gc.disable()
+        try:
+            session = Session(fast_scenario(num_ranks=num_ranks))
+            session.run()
+            ref = weakref.ref(session.last_simulator)
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_run_many_window_simulator_dies_with_its_window(
+        self, monkeypatch
+    ):
+        import repro.sim.montecarlo as montecarlo
+
+        refs = []
+
+        class Recording(montecarlo.RankSimulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(montecarlo, "RankSimulator", Recording)
+        gc.collect()
+        gc.disable()
+        try:
+            Session(fast_scenario()).run_many(1)
+            assert len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestSession:

@@ -60,7 +60,7 @@ class TestRankSimulator:
 
     def test_tracker_instances_not_shared(self):
         simulator = RankSimulator(mint_factory, num_banks=3, trh=1000)
-        trackers = [s.tracker for s in simulator.simulators]
+        trackers = simulator.trackers
         assert len(set(map(id, trackers))) == 3
 
     def test_rejects_zero_banks(self):
