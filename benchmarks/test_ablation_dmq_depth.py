@@ -15,7 +15,7 @@ from conftest import print_header, print_rows
 from repro.attacks import AttackParams, postponement_decoy_multi
 from repro.core.dmq import DelayedMitigationQueue, DMQ_ENTRY_BITS
 from repro.core.mint import MintTracker
-from repro.sim.engine import run_attack
+from repro.sim.engine import EngineConfig, RankSimulator
 
 
 def test_ablation_dmq_depth(benchmark):
@@ -32,12 +32,10 @@ def test_ablation_dmq_depth(benchmark):
                 MintTracker(transitive=False, rng=random.Random(depth)),
                 max_act=73, depth=depth,
             )
-            result = run_attack(
-                tracker,
-                postponement_decoy_multi(targets, params),
-                trh=1e9,
-                allow_postponement=True,
-            )
+            result = RankSimulator(
+                lambda _bank: tracker,
+                EngineConfig(trh=1e9, allow_postponement=True),
+            ).run(postponement_decoy_multi(targets, params)).per_bank[0]
             peak = max(result.max_unmitigated.get(t, 0) for t in targets)
             outcomes[depth] = (peak, tracker.overflow_drops)
         return outcomes

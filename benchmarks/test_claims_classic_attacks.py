@@ -12,11 +12,11 @@ from conftest import print_header, print_rows
 
 from repro.attacks import AttackParams, double_sided, half_double, single_sided
 from repro.core.mint import MintTracker
-from repro.sim.engine import BankSimulator, EngineConfig
+from repro.sim.engine import EngineConfig, RankSimulator
 
 
 def _run(tracker, trace):
-    simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+    simulator = RankSimulator(lambda _bank: tracker, EngineConfig(trh=1e9))
     simulator.run(trace)
     return simulator.device.banks[0]
 

@@ -13,7 +13,7 @@ from repro.analysis.postponement import table4
 from repro.attacks import AttackParams, postponement_decoy
 from repro.core.dmq import DelayedMitigationQueue
 from repro.core.mint import MintTracker
-from repro.sim.engine import run_attack
+from repro.sim.engine import EngineConfig, RankSimulator
 
 PAPER = {
     "PRCT": (623, 769, 769),
@@ -65,13 +65,16 @@ def test_table4_executable_demonstration():
     params = AttackParams(max_act=73, intervals=1000)
     target = 42_000
 
+    config = EngineConfig(trh=1e9, allow_postponement=True)
     plain = MintTracker(rng=random.Random(1))
-    r1 = run_attack(plain, postponement_decoy(target, params), trh=1e9,
-                    allow_postponement=True)
+    r1 = RankSimulator(lambda _bank: plain, config).run(
+        postponement_decoy(target, params)
+    ).per_bank[0]
     queued = DelayedMitigationQueue(MintTracker(rng=random.Random(2)),
                                     max_act=73, depth=4)
-    r2 = run_attack(queued, postponement_decoy(target, params), trh=1e9,
-                    allow_postponement=True)
+    r2 = RankSimulator(lambda _bank: queued, config).run(
+        postponement_decoy(target, params)
+    ).per_bank[0]
     print_header("Table IV (live) — decoy attack, 1000 tREFI slice")
     print_rows(
         ["Tracker", "peak unmitigated ACTs on target"],

@@ -8,24 +8,20 @@ LPDDR4 value from the paper's Table II), and shows the outcome.
 Run:  python examples/quickstart.py
 """
 
-import random
-
-from repro import MintTracker, run_attack
-from repro.attacks import AttackParams, double_sided
-from repro.trackers import NullTracker
+from repro import Scenario, Session
 
 
 def main() -> None:
     # One refresh window's worth of hammering (8192 tREFI), full rate.
-    params = AttackParams(max_act=73, intervals=8192)
-    trace = double_sided(params, victim=1000)
     trh_d = 4800
+    attack = dict(attack="double-sided", trh=trh_d, intervals=8192, seed=42)
+    trace = Scenario(tracker="none", **attack).build_trace()
 
     print(f"attack: {trace.name}, {trace.total_acts:,} activations "
           f"over {len(trace)} tREFI (one 32 ms refresh window)")
     print(f"device threshold: TRH-D = {trh_d}\n")
 
-    unprotected = run_attack(NullTracker(), trace, trh=trh_d)
+    unprotected = Session(Scenario(tracker="none", **attack)).run().bank(0)
     print(f"unprotected bank : {unprotected.summary()}")
     if unprotected.failed:
         flip = unprotected.flips[0]
@@ -33,8 +29,9 @@ def main() -> None:
               f"{flip.disturbance:.0f} disturbances "
               f"({flip.time_ns / 1e6:.2f} ms into the window)")
 
-    tracker = MintTracker(max_act=73, transitive=True, rng=random.Random(42))
-    protected = run_attack(tracker, trace, trh=trh_d)
+    session = Session(Scenario(tracker="mint", **attack))
+    protected = session.run().bank(0)
+    tracker = session.trackers[0]
     print(f"with MINT        : {protected.summary()}")
     print(f"                   {protected.mitigations} victim refreshes "
           f"({protected.transitive_mitigations} transitive), "

@@ -13,7 +13,7 @@ MINT: Securely Mitigating Rowhammer with a Minimalist In-DRAM Tracker
   through Blacksmith, Half-Double, Feinting, and the adaptive attack.
 * :mod:`repro.sim` — the trace-driven security simulator: the
   rank-level engine (per-bank trackers behind one refresh schedule)
-  with its single-bank shims.
+  and the channel engine that stacks ranks under one tREFI clock.
 * :mod:`repro.analysis` — the analytical models (Saroiu-Wolman failure
   recurrence, MinTRH search, Markov adaptive-attack model) behind every
   number in the paper.
@@ -23,8 +23,10 @@ MINT: Securely Mitigating Rowhammer with a Minimalist In-DRAM Tracker
   serializable :class:`~repro.scenario.Scenario` description of one
   evaluation and the :class:`~repro.scenario.Session` facade that runs
   it (single run, Monte-Carlo ``run_many``, grid ``sweep``, ``perf``).
-  Every other entry point (CLI, experiment runner, the legacy free
-  functions below) is a view onto it.
+  Every other entry point (CLI, experiment runner, Monte-Carlo) is a
+  view onto it; :class:`~repro.sim.engine.RankSimulator` and
+  :class:`~repro.sim.engine.ChannelSimulator` run live tracker objects
+  the registry cannot describe.
 
 Quickstart — declarative::
 
@@ -35,15 +37,15 @@ Quickstart — declarative::
     result = Session(scenario).run()
     assert not result.failed
 
-Quickstart — legacy free-function shim (bit-identical engine)::
+Quickstart — a live tracker object on a one-bank rank::
 
     import random
-    from repro import MintTracker, run_attack
+    from repro import EngineConfig, MintTracker, RankSimulator
     from repro.attacks import AttackParams, double_sided
 
     tracker = MintTracker(rng=random.Random(1))
-    result = run_attack(tracker, double_sided(AttackParams(intervals=1000)),
-                        trh=4800)
+    sim = RankSimulator(lambda _bank: tracker, EngineConfig(trh=4800))
+    result = sim.run(double_sided(AttackParams(intervals=1000)))
     assert not result.failed
 """
 
@@ -73,7 +75,6 @@ from .scenario import (
     run_scenario,
 )
 from .sim import (
-    BankSimulator,
     ChannelSimResult,
     ChannelSimulator,
     ChannelTrace,
@@ -84,9 +85,6 @@ from .sim import (
     SimResult,
     Trace,
     TraceStream,
-    run_attack,
-    run_channel_attack,
-    run_rank_attack,
     system_mttf_years,
 )
 from .trackers import (
@@ -107,7 +105,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AttackSpec",
     "BANKS_PER_RANK",
-    "BankSimulator",
     "CONCURRENT_BANKS",
     "ChannelSimResult",
     "ChannelSimulator",
@@ -147,9 +144,6 @@ __all__ = [
     "channel_tracker_factory",
     "equivalent_activations",
     "make_tracker",
-    "run_attack",
-    "run_channel_attack",
-    "run_rank_attack",
     "run_scenario",
     "system_mttf_years",
     "__version__",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.engine import BankSimulator, EngineConfig
+from ..sim.engine import EngineConfig, RankSimulator
+from ..sim.trace import RankInterval
 from ..trackers.base import Tracker
 from .base import AttackParams, spaced_rows
 
@@ -43,10 +44,10 @@ def run_feinting(
     level rather than stopping at a flip.
     """
     params = params or AttackParams()
-    engine = BankSimulator(
-        tracker,
-        EngineConfig(trh=trh, num_rows=num_rows),
+    engine = RankSimulator(
+        lambda _bank: tracker, EngineConfig(trh=trh, num_rows=num_rows)
     )
+    since_mitigation = engine._bank_since[0]
     pool = spaced_rows(initial_rows, params.base_row, spacing)
     counts = {row: 0 for row in pool}
     rounds = 0
@@ -65,16 +66,10 @@ def run_feinting(
             peak = max(peak, counts[row])
             budget -= 1
             index += 1
-        for row in interval:
-            engine._activate(row, rounds * 3900.0)
-        event = engine.scheduler.tick()
-        if event is not None:
-            before = set(engine._since_mitigation)
-            for _ in range(event.count):
-                engine._refresh(rounds * 3900.0)
+        engine.feed([RankInterval.of((0, row) for row in interval)])
         # Remove pool rows whose unmitigated run was reset (mitigated).
         pool = [
-            row for row in pool if engine._since_mitigation.get(row, 0) > 0
+            row for row in pool if since_mitigation.get(row, 0) > 0
         ] or pool[:1]
     flips = len(engine.device.flips(0))
     return FeintingOutcome(

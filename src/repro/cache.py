@@ -31,8 +31,9 @@ class BoundedCache:
 
     ``get`` refreshes the entry's recency; ``put`` inserts, evicting the
     least-recently-used ~quarter of the entries when ``capacity`` is
-    reached. Not thread-safe (the engine is single-threaded per
-    simulator).
+    reached. Not thread-safe: the engine is single-threaded per
+    simulator, and the threaded read path serialises under
+    :class:`repro.exp.query.QueryAPI`'s lock.
     """
 
     __slots__ = ("capacity", "_entries", "_tick")

@@ -18,6 +18,7 @@ experiment coordinates (key, tracker, attack, seed) prepended.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Iterable
 
 from ..cache import BoundedCache
@@ -54,9 +55,11 @@ def sweep_csv_rows(results: Iterable[ExperimentResult]) -> list[dict]:
 class QueryAPI:
     """Fingerprint-keyed cached reads over one result store.
 
-    Thread-compatible for the threaded HTTP server's usage pattern
-    (the GIL serialises the dict operations underneath); not designed
-    for concurrent writers.
+    Safe for the threaded HTTP server's concurrent readers: one lock
+    serialises every cached read (store reload, cache lookup, compute,
+    insert) and the status view, because neither the cache's eviction
+    sweep nor the store's reload tolerates a concurrent mutation. Not
+    designed for concurrent writers to the store object itself.
     """
 
     def __init__(
@@ -64,6 +67,8 @@ class QueryAPI:
     ) -> None:
         self.store = store
         self._cache = BoundedCache(cache_size)
+        # Re-entrant: sweep_csv's compute reads through sweep().
+        self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
@@ -73,17 +78,17 @@ class QueryAPI:
 
     # ------------------------------------------------------------------
     def _cached(self, key: tuple, compute):
-        self.store.reload_if_changed()
-        full_key = (*key, self.store.generation)
-        sentinel = _MISS
-        value = self._cache.get(full_key, sentinel)
-        if value is not sentinel:
-            self.hits += 1
+        with self._lock:
+            self.store.reload_if_changed()
+            full_key = (*key, self.store.generation)
+            value = self._cache.get(full_key, _MISS)
+            if value is not _MISS:
+                self.hits += 1
+                return value
+            self.misses += 1
+            value = compute()
+            self._cache.put(full_key, value)
             return value
-        self.misses += 1
-        value = compute()
-        self._cache.put(full_key, value)
-        return value
 
     # ------------------------------------------------------------------
     def keys(self) -> list[str]:
@@ -152,21 +157,24 @@ class QueryAPI:
 
     def status(self) -> dict:
         """Store and cache statistics (the service health view)."""
-        return {
-            "results": len(self.store),
-            "store_path": str(self.store.path) if self.store.path else None,
-            "store_generation": self.store.generation,
-            "store_disk_bytes": self.store.disk_bytes(),
-            "cache_entries": len(self._cache),
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "trackers": sorted(
-                {result.tracker for result in self.store.results()}
-            ),
-            "attacks": sorted(
-                {result.attack for result in self.store.results()}
-            ),
-        }
+        with self._lock:
+            return {
+                "results": len(self.store),
+                "store_path": (
+                    str(self.store.path) if self.store.path else None
+                ),
+                "store_generation": self.store.generation,
+                "store_disk_bytes": self.store.disk_bytes(),
+                "cache_entries": len(self._cache),
+                "cache_hits": self.hits,
+                "cache_misses": self.misses,
+                "trackers": sorted(
+                    {result.tracker for result in self.store.results()}
+                ),
+                "attacks": sorted(
+                    {result.attack for result in self.store.results()}
+                ),
+            }
 
 
 class _Miss:

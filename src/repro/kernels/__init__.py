@@ -3,18 +3,17 @@
 The fused march still pays one Python dispatch per tREFI; this
 package removes it for the steady state by marching K consecutive
 same-plan steps inside one compiled call (:mod:`repro.kernels.march`).
-Three interchangeable *providers* implement the identical march:
+Two interchangeable *providers* implement the identical march:
 
-``numba``
-    ``@njit``-compiled (nopython, cached) — the first choice when the
-    ``compiled`` extra (``pip install .[compiled]``) is installed.
 ``cext``
-    The same routine as a small C file, compiled on demand with any C
-    compiler on PATH and bound via ctypes (:mod:`repro.kernels.cext`).
+    The compiled tier: the march as a small C file, compiled on demand
+    with any C compiler on PATH and bound via ctypes
+    (:mod:`repro.kernels.cext`).
 ``interpreted``
-    The very same Python function body, undecorated — never selected
-    automatically (it is slower than the fused NumPy path) but always
-    present as the reference implementation for the equivalence tests.
+    The plain Python body in :mod:`repro.kernels.march` — never
+    selected automatically (it is slower than the fused NumPy path)
+    but always present as the reference implementation for the
+    equivalence tests.
 
 Selection is ``EngineConfig.backend``: ``"auto"`` uses the best
 available compiled provider and falls back to the pure-NumPy fused
@@ -28,10 +27,7 @@ from __future__ import annotations
 
 import os
 
-from ._compat import HAVE_NUMBA
-
 __all__ = [
-    "HAVE_NUMBA",
     "available",
     "forced_provider",
     "get_march",
@@ -41,11 +37,11 @@ __all__ = [
 ]
 
 #: Test/debug override: None = auto-resolve, otherwise one of
-#: "numba", "cext", "interpreted", "none". Seeded from the
+#: "cext", "interpreted", "none". Seeded from the
 #: REPRO_KERNELS environment variable; tests use :func:`forced_provider`.
 _FORCED: str | None = os.environ.get("REPRO_KERNELS") or None
 
-_VALID_FORCES = {"numba", "cext", "interpreted", "none"}
+_VALID_FORCES = {"cext", "interpreted", "none"}
 
 
 class forced_provider:
@@ -84,18 +80,14 @@ def _cext_available() -> bool:
 
 def provider() -> str | None:
     """The compiled provider ``backend="auto"``/``"compiled"`` would
-    use: ``"numba"``, ``"cext"``, ``"interpreted"`` (only when forced),
-    or ``None`` when no compiled tier is available."""
+    use: ``"cext"``, ``"interpreted"`` (only when forced), or ``None``
+    when no compiled tier is available."""
     if _FORCED is not None:
         if _FORCED == "none":
-            return None
-        if _FORCED == "numba" and not HAVE_NUMBA:
             return None
         if _FORCED == "cext" and not _cext_available():
             return None
         return _FORCED
-    if HAVE_NUMBA:
-        return "numba"
     if _cext_available():
         return "cext"
     return None
@@ -112,8 +104,7 @@ def unavailable_reason() -> str:
         return "provider resolution is forced off (test override)"
     from . import cext
 
-    reason = cext.build_error() or "C provider unavailable"
-    return f"numba is not importable and the {reason}"
+    return cext.build_error() or "C provider unavailable"
 
 
 def require_compiled() -> str:
@@ -128,10 +119,9 @@ def require_compiled() -> str:
         raise RuntimeError(
             "backend='compiled' requires a compiled kernel provider, "
             "but none is available: "
-            f"{unavailable_reason()}. Install the optional extra "
-            "(pip install .[compiled]) for the Numba backend, make a C "
-            "compiler available for the ctypes backend, or use "
-            "backend='auto' / 'numpy' for the pure-NumPy fused path."
+            f"{unavailable_reason()}. Make a C compiler available for "
+            "the ctypes backend, or use backend='auto' / 'numpy' for "
+            "the pure-NumPy fused path."
         )
     return name
 
@@ -148,6 +138,4 @@ def get_march():
         return cext.march_steps
     from . import march
 
-    if name == "interpreted":
-        return march.march_steps_interpreted
-    return march.march_steps
+    return march.march_steps_interpreted

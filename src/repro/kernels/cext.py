@@ -1,16 +1,15 @@
-"""On-demand C build of the march kernel (the no-Numba compiled tier).
+"""On-demand C build of the march kernel (the compiled tier).
 
-Numba is the first-choice provider, but it is a heavyweight optional
-dependency; a plain C compiler is far more commonly available. This
-module compiles ``_march.c`` once per source revision into a private
-build directory (``_build/`` next to the sources, gitignored;
+This module compiles ``_march.c`` once per source revision into a
+private build directory (``_build/`` next to the sources, gitignored;
 override with ``REPRO_KERNELS_BUILD_DIR``) and binds the symbol
 through :mod:`ctypes`. Everything degrades gracefully: no compiler, an
 unwritable tree, or a failed build simply mark the provider
 unavailable and the engine keeps using the pure-NumPy fused path.
 
 The exported :func:`march_steps` presents the exact Python signature
-of ``march.march_steps`` so the engine driver is provider-agnostic.
+of ``march.march_steps_interpreted`` so the engine driver is
+provider-agnostic.
 """
 
 from __future__ import annotations
@@ -156,7 +155,8 @@ def march_steps(
     kind, m_san, m_sar, m_valid, m_dist, m_sel,
     m_draw_off, draws, num_steps, trh, step_gain, bound,
 ):
-    """ctypes adapter with the signature of ``march.march_steps``.
+    """ctypes adapter with the signature of
+    ``march.march_steps_interpreted``.
 
     All array arguments must be C-contiguous with the dtypes the
     engine's plan lowering produces (int64/float64); the driver

@@ -1,12 +1,12 @@
-"""The multi-step channel march, in nopython form.
+"""The multi-step channel march: the interpreted reference.
 
 One call executes up to ``num_steps`` consecutive tREFIs of a fused
 channel plan — the steady state where every rank replays the same
 cached interval — without returning to Python between steps. The body
 is written against flat ``int64``/``float64`` arrays only (the plan
-lowered by the engine driver), in constructs Numba's nopython mode
-compiles directly; the very same function object doubles as the
-interpreted reference implementation when Numba is absent.
+lowered by the engine driver), the same constructs the C provider
+(``_march.c``) mirrors line for line; this body is the interpreted
+reference both are pinned against.
 
 Semantics mirror ``_FusedChannelKernel._step`` exactly for the shapes
 the driver admits (see ``engine._CompiledMarch``): no order-sensitive
@@ -27,12 +27,10 @@ in exact order.
 
 from __future__ import annotations
 
-from ._compat import njit
-
-__all__ = ["march_steps", "march_steps_interpreted"]
+__all__ = ["march_steps_interpreted"]
 
 
-def _march_steps_impl(
+def march_steps_interpreted(
     dist,  # float64[units * num_rows] packed disturbance
     peak,  # float64[units * num_rows] running per-row peak
     since,  # int64[units * num_rows] unmitigated-run counters
@@ -179,12 +177,3 @@ def _march_steps_impl(
                     m_dist[unit] = 1
                     m_san[unit] = draw
     return num_steps, bound
-
-
-#: Interpreted reference (always available; exercised by the tests).
-march_steps_interpreted = _march_steps_impl
-
-#: Numba-compiled entry point — identical body. With Numba installed
-#: this lazily compiles (nopython, cached) on first call; without it,
-#: this *is* the interpreted function.
-march_steps = njit(cache=True)(_march_steps_impl)

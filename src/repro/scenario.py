@@ -2,11 +2,9 @@
 attack A on geometry G with timing X at threshold TRH under seed S".
 
 Every entry point of the reproduction — the CLI, the parallel
-experiment runner, the Monte-Carlo layer, the perf layer — used to
-spell that object its own way (``run_attack`` kwargs, ``RankSimulator``
-factory closures, ``exp.PointConfig`` payloads, ``montecarlo`` window
-kwargs). :class:`Scenario` is the canonical spelling: a frozen, fully
-JSON-serialisable description of one evaluation, with a stable
+experiment runner, the Monte-Carlo layer, the perf layer — spells that
+object the same way. :class:`Scenario` is that spelling: a frozen,
+fully JSON-serialisable description of one evaluation, with a stable
 :meth:`~Scenario.fingerprint` built on
 :func:`repro.sim.seeding.stable_hash` so a scenario is also a cache
 key, a task payload for a worker pool, and a file on disk
@@ -32,11 +30,11 @@ calls (``tracker_seed(bank)``, ``trace_seed()``, Monte-Carlo window
 seeds), so results are pure functions of the scenario no matter how
 the work is partitioned, and any knob change re-keys every stream.
 
-The legacy free functions (:func:`repro.sim.engine.run_attack`,
-:func:`repro.sim.engine.run_rank_attack`,
-:func:`repro.sim.montecarlo.estimate_failure_probability`) remain as
-shims whose results are pinned bit-identical to this facade by
-``tests/scenario/test_scenario.py``.
+Evaluations the registry cannot describe (a hand-built tracker object,
+a custom trace) run on :class:`~repro.sim.engine.RankSimulator` or
+:class:`~repro.sim.engine.ChannelSimulator` with an
+:class:`~repro.sim.engine.EngineConfig` directly — the same engine this
+facade builds.
 """
 
 from __future__ import annotations
@@ -459,8 +457,7 @@ class Scenario:
 
         ``rng`` overrides the derived per-bank stream (the Monte-Carlo
         window loop threads one shared window RNG through tracker and
-        trace construction, mirroring the legacy
-        ``estimate_failure_probability`` contract).
+        trace construction).
         """
         if rng is None:
             rng = random.Random(self.tracker_seed(bank, rank))
@@ -653,8 +650,7 @@ class Session:
         everything else reports a rank-level result as always —
         single-bank scenarios carry their classic
         :class:`~repro.sim.results.SimResult` as
-        ``result.per_bank[0]``, bit-identical to the legacy
-        :func:`~repro.sim.engine.run_attack` shim.
+        ``result.per_bank[0]``.
         """
         scenario = self.scenario
         if scenario.is_channel:
@@ -688,9 +684,7 @@ class Session:
 
         Each window rebuilds trackers and trace from a stable per-window
         seed, so the estimate is a pure function of the scenario —
-        bit-identical for any ``n_workers`` — and matches the legacy
-        :func:`~repro.sim.montecarlo.estimate_failure_probability` shim
-        seeded with this scenario's :meth:`~Scenario.task_seed`.
+        bit-identical for any ``n_workers``.
         """
         from .sim.montecarlo import scenario_failure_probability
 

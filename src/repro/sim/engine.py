@@ -33,20 +33,19 @@ There is one production engine and one reference:
   per-ACT dispatch over the sparse dict oracle. Every production run is
   pinned bit-identical to it.
 
-:class:`RankSimulator` is the canonical *engine* entry point — the
-canonical way to *describe and launch* an evaluation is the declarative
+:class:`RankSimulator` and :class:`ChannelSimulator` are the *engine*
+entry points for live tracker objects; the way to *describe and launch*
+a registry-describable evaluation is the declarative
 :class:`repro.scenario.Scenario` / :class:`repro.scenario.Session`
 facade, which builds the simulator from a serializable payload and
 drives every other layer (CLI, experiment grids, Monte-Carlo, perf)
-through the same object. The simulator accepts
-bank-addressed :class:`~repro.sim.trace.RankTrace` streams, row-only
-:class:`~repro.sim.trace.Trace` streams (auto-lifted to bank 0), or a
-legacy list of per-bank traces (merged, with the tFAW concurrency
-ceiling enforced), and reports a :class:`~repro.sim.results.RankSimResult`
-carrying one per-bank :class:`~repro.sim.results.SimResult` each plus
-rank-level aggregates. :class:`BankSimulator` and :func:`run_attack`
-remain as thin single-bank shims whose results are bit-identical to the
-pre-rank engine.
+through the same object. A single-bank run is a ``num_banks=1`` rank
+run. The rank simulator accepts bank-addressed
+:class:`~repro.sim.trace.RankTrace` streams or row-only
+:class:`~repro.sim.trace.Trace` streams (auto-lifted to bank 0), and
+reports a :class:`~repro.sim.results.RankSimResult` carrying one
+per-bank :class:`~repro.sim.results.SimResult` each plus rank-level
+aggregates.
 
 This is the machinery behind the paper's guaranteed-protection claims
 (classic single/double-sided attacks bounded at M activations, §V-C),
@@ -117,12 +116,11 @@ class EngineConfig:
     vectorized: bool | None = None
     #: Compiled-tier selection under the fused march (see
     #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
-    #: through the best available compiled provider (Numba when the
-    #: ``compiled`` extra is installed, the on-demand C build
-    #: otherwise) and falls back to the pure-NumPy march when none
-    #: exists or a step does not qualify; ``"compiled"`` requires a
-    #: provider (raises at construction when none is available, and
-    #: rejects the reference engine, which has no compiled tier);
+    #: through the compiled provider (the on-demand C build) and falls
+    #: back to the pure-NumPy march when none exists or a step does
+    #: not qualify; ``"compiled"`` requires a provider (raises at
+    #: construction when none is available, and rejects the reference
+    #: engine, which has no compiled tier);
     #: ``"numpy"`` pins the pure-NumPy march. Excluded from scenario
     #: identity, like ``vectorized`` — every setting produces
     #: bit-identical results (pinned by the property suite).
@@ -142,45 +140,15 @@ class RankSimulator:
         suitable factory from a registry name plus a base seed.
     config:
         Engine knobs (:class:`EngineConfig`); ``num_banks`` selects the
-        rank width. The keyword arguments mirror the legacy rank API and
-        override the corresponding config fields when given.
+        rank width.
     """
 
     def __init__(
         self,
         tracker_factory: Callable[[int], Tracker],
         config: EngineConfig | None = None,
-        *,
-        num_banks: int | None = None,
-        timing: DDR5Timing | None = None,
-        trh: float | None = None,
-        num_rows: int | None = None,
-        blast_radius: int | None = None,
-        allow_postponement: bool | None = None,
-        concurrent_banks: int | None = None,
     ) -> None:
-        if config is not None and not isinstance(config, EngineConfig):
-            raise TypeError(
-                "the second positional argument must be an EngineConfig; "
-                "the legacy rank API's positional num_banks moved to a "
-                "keyword: RankSimulator(factory, num_banks=N)"
-            )
         c = config or EngineConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("num_banks", num_banks),
-                ("timing", timing),
-                ("trh", trh),
-                ("num_rows", num_rows),
-                ("blast_radius", blast_radius),
-                ("allow_postponement", allow_postponement),
-                ("concurrent_banks", concurrent_banks),
-            )
-            if value is not None
-        }
-        if overrides:
-            c = replace(c, **overrides)
         if c.num_banks < 1:
             raise ValueError("num_banks must be >= 1")
         if c.num_ranks != 1:
@@ -246,24 +214,19 @@ class RankSimulator:
         self._consumed = False
 
     # ------------------------------------------------------------------
-    def run(
-        self, trace: Trace | RankTrace | TraceStream | Sequence[Trace]
-    ) -> RankSimResult:
+    def run(self, trace: Trace | RankTrace | TraceStream) -> RankSimResult:
         """Execute ``trace`` to completion and report the outcome.
 
         ``trace`` may be bank-addressed (:class:`RankTrace`), row-only
-        (:class:`Trace`, lifted onto bank 0), a lazily produced
+        (:class:`Trace`, lifted onto bank 0), or a lazily produced
         :class:`~repro.sim.trace.TraceStream` (consumed chunk by chunk,
         never materialized — memory stays bounded no matter the
-        horizon), or a legacy sequence of per-bank row traces (trace
-        ``i`` drives bank ``i``; the tFAW ceiling rejects more
-        concurrent traces than the rank sustains). Materialized traces
-        are budget-validated upfront as always; a stream declares its
-        act budget for the same fail-fast check and is then validated
-        chunk by chunk under identical rules, and the per-interval work
-        is the same either way, so streamed and materialized runs of
-        one schedule are bit-identical (pinned by the
-        stream-equivalence tests).
+        horizon). Materialized traces are budget-validated upfront as
+        always; a stream declares its act budget for the same fail-fast
+        check and is then validated chunk by chunk under identical
+        rules, and the per-interval work is the same either way, so
+        streamed and materialized runs of one schedule are
+        bit-identical (pinned by the stream-equivalence tests).
 
         The rank marches itself as a one-rank fused kernel (the
         default, see :attr:`EngineConfig.vectorized`) and the result
@@ -277,8 +240,6 @@ class RankSimulator:
         ``Session``) per run.
         """
         self._guard_reuse()
-        if isinstance(trace, (list, tuple)):
-            trace = self._merge_bank_traces(trace)
         stream = as_trace_stream(trace)
         prevalidated = self._prevalidate(stream)
         intervals = self._intervals(stream, validate=not prevalidated)
@@ -364,7 +325,9 @@ class RankSimulator:
         chunk left off, and budget validation (when configured) reports
         stream-global interval indices. Feeding runs the reference
         per-ACT dispatch (bit-identical to :meth:`run`).
-        :meth:`collect` reports the state accumulated so far.
+        :meth:`collect` reports the state accumulated so far. Adaptive
+        attacks that react to mitigations feed one round at a time
+        (:func:`repro.attacks.feinting.run_feinting`).
         """
         if self.config.validate_budget:
             self._validate(intervals, start=self.intervals)
@@ -390,17 +353,6 @@ class RankSimulator:
                 for _ in range(event.count):
                     self._refresh(time_ns)
         self.intervals = count
-
-    def _merge_bank_traces(self, traces: Sequence[Trace]) -> RankTrace:
-        """Legacy input format: one row-only trace per bank."""
-        if len(traces) > self.concurrent_banks:
-            raise ValueError(
-                f"tFAW limits concurrent full-rate banks to "
-                f"{self.concurrent_banks}; got {len(traces)} traces"
-            )
-        names = list(dict.fromkeys(trace.name for trace in traces))
-        name = names[0] if len(names) == 1 else "rank(" + ",".join(names) + ")"
-        return RankTrace.from_bank_traces(name, list(traces))
 
     def collect(self, trace_name: str) -> RankSimResult:
         """Report the state accumulated so far as a
@@ -1096,8 +1048,8 @@ class _FusedChannelKernel:
         """
         B = self.num_banks
         rows_n = self.num_rows
-        # Rolling auto-refresh, slice math inlined from
-        # ``DramDevice.auto_refresh_slice`` against kernel-side per-rank
+        # Rolling auto-refresh: the slice math of
+        # ``DramDevice.auto_refresh``, run against kernel-side per-rank
         # counters (the idle device counters sync back in
         # ``materialize``). The overwhelmingly common round — every rank
         # refreshing the same slice — is one basic 2-D slice store;
@@ -1585,9 +1537,9 @@ class _FusedChannelKernel:
                 bound,
             )
         except Exception:
-            # A provider that cannot compile this call (e.g. a Numba
-            # typing failure) raises before the body executes; undo the
-            # pre-draws and stay on the per-step path.
+            # A provider that cannot take this call (e.g. a ctypes
+            # argument conversion error) raises before the body
+            # executes; undo the pre-draws and stay on the per-step path.
             for tracker, rng_state, _ in saved:
                 tracker.rng.setstate(rng_state)
             self._compiled_off = True
@@ -1731,29 +1683,15 @@ class ChannelSimulator:
         suitable factory from a registry name plus a base seed (ranks
         derive independent seed streams).
     config:
-        Per-rank engine knobs; ``num_ranks`` selects the channel width
-        (the keyword overrides the config field when given).
+        Per-rank engine knobs; ``num_ranks`` selects the channel width.
     """
 
     def __init__(
         self,
         tracker_factory: Callable[[int, int], Tracker],
         config: EngineConfig | None = None,
-        *,
-        num_ranks: int | None = None,
-        num_banks: int | None = None,
     ) -> None:
         c = config or EngineConfig()
-        overrides = {
-            key: value
-            for key, value in (
-                ("num_ranks", num_ranks),
-                ("num_banks", num_banks),
-            )
-            if value is not None
-        }
-        if overrides:
-            c = replace(c, **overrides)
         if c.num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
         self.config = c
@@ -1866,135 +1804,6 @@ class ChannelSimulator:
     @property
     def any_flip(self) -> bool:
         return any(sim.any_flip for sim in self.ranks)
-
-
-class BankSimulator(RankSimulator):
-    """Runs traces against one tracker on one bank.
-
-    The classic single-bank entry point, now a thin shim over
-    :class:`RankSimulator` with ``num_banks=1``; results are
-    bit-identical to the pre-rank engine (pinned by the
-    rank-equivalence tests). :meth:`run` unwraps bank 0's
-    :class:`SimResult`.
-    """
-
-    def __init__(self, tracker: Tracker, config: EngineConfig | None = None) -> None:
-        c = config or EngineConfig()
-        if c.num_banks != 1:
-            c = replace(c, num_banks=1)
-        super().__init__(lambda _bank: tracker, c)
-        self.tracker = tracker
-
-    def run(self, trace: Trace) -> SimResult:  # type: ignore[override]
-        return super().run(trace).per_bank[0]
-
-    # Single-bank views kept for the feinting driver and older callers.
-    @property
-    def _since_mitigation(self) -> dict:
-        return self._bank_since[0]
-
-    @property
-    def mitigations(self) -> int:
-        return self.bank_mitigations[0]
-
-    @property
-    def transitive_mitigations(self) -> int:
-        return self.bank_transitive_mitigations[0]
-
-    @property
-    def demand_acts(self) -> int:
-        return self.bank_demand_acts[0]
-
-    def _activate(self, row: int, time_ns: float) -> None:
-        """Single-ACT entry point (used by the feinting attack driver)."""
-        self._absorb_acts(0, (row,), time_ns)
-
-
-def run_attack(
-    tracker: Tracker,
-    trace: Trace,
-    trh: float,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> SimResult:
-    """One-call convenience wrapper around :class:`BankSimulator`.
-
-    Legacy shim: takes live tracker/trace objects. New code should
-    describe the evaluation declaratively and run it through
-    ``Session(scenario).run()`` — the shim-equivalence tests pin this
-    function bit-identical to that facade for every registry tracker.
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-    )
-    return BankSimulator(tracker, config).run(trace)
-
-
-def run_rank_attack(
-    tracker_factory: Callable[[int], Tracker],
-    trace: Trace | RankTrace,
-    trh: float,
-    num_banks: int,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> RankSimResult:
-    """One-call convenience wrapper around :class:`RankSimulator`.
-
-    Legacy shim (see :func:`run_attack`): pinned bit-identical to the
-    ``Session`` facade by the shim-equivalence tests.
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-        num_banks=num_banks,
-    )
-    return RankSimulator(tracker_factory, config).run(trace)
-
-
-def run_channel_attack(
-    tracker_factory: Callable[[int, int], Tracker],
-    trace: "ChannelTrace | Trace | RankTrace | TraceStream",
-    trh: float,
-    num_ranks: int,
-    num_banks: int = 1,
-    timing: DDR5Timing = DEFAULT_TIMING,
-    num_rows: int = 128 * 1024,
-    blast_radius: int = 1,
-    allow_postponement: bool = False,
-    refi_per_refw: int = 8192,
-) -> ChannelSimResult:
-    """One-call convenience wrapper around :class:`ChannelSimulator`.
-
-    ``tracker_factory`` takes ``(rank, bank)``; see
-    :func:`run_rank_attack` for the declarative alternative
-    (``Session(Scenario(..., num_ranks=N)).run()``).
-    """
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        blast_radius=blast_radius,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-        num_banks=num_banks,
-        num_ranks=num_ranks,
-    )
-    return ChannelSimulator(tracker_factory, config).run(trace)
 
 
 def with_dmq(tracker: Tracker, timing: DDR5Timing = DEFAULT_TIMING) -> Tracker:

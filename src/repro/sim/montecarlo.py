@@ -8,12 +8,9 @@ where failures are frequent enough to measure, and check the empirical
 failure rate against the same formulas evaluated at the scaled
 parameters. The test suite pins the agreement.
 
-Two entry points share one window loop:
-:func:`scenario_failure_probability` consumes a declarative
-:class:`repro.scenario.Scenario` (the path behind
-``Session.run_many``), and :func:`estimate_failure_probability` is the
-legacy factory-based shim, kept bit-identical to the facade (pinned by
-``tests/scenario/test_scenario.py``).
+The entry point is :func:`scenario_failure_probability`, which
+consumes a declarative :class:`repro.scenario.Scenario` (the path
+behind ``Session.run_many``).
 """
 
 from __future__ import annotations
@@ -24,10 +21,8 @@ from typing import Callable, TYPE_CHECKING
 
 from ..dram.timing import DDR5Timing
 from ..parallel import fork_map
-from ..trackers.base import Tracker
-from .engine import BankSimulator, ChannelSimulator, EngineConfig, RankSimulator
+from .engine import ChannelSimulator, RankSimulator
 from .seeding import stable_seed
-from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (scenario -> here)
     from ..scenario import Scenario
@@ -117,9 +112,8 @@ def scenario_failure_probability(
 
     Each window gets fresh trackers, fresh device state, and a fresh
     trace, all derived from one window RNG seeded by a stable hash of
-    ``(scenario.task_seed(), "mc-window", index)`` — the same
-    derivation the legacy shim uses — threaded through tracker
-    construction first, then trace construction (patterns with
+    ``(scenario.task_seed(), "mc-window", index)``, threaded through
+    tracker construction first, then trace construction (patterns with
     randomised placement can vary per window). The estimate is a pure
     function of the scenario: bit-identical counts for any worker
     count or scheduling.
@@ -129,7 +123,7 @@ def scenario_failure_probability(
     the same rule across its ranks (any rank's flip fails the window,
     mitigations sum channel-wide). The window RNG threads through
     tracker construction rank-major first, then trace construction —
-    the per-rank generalisation of the legacy contract, and exactly it
+    the per-rank generalisation of the rank contract, and exactly it
     at ``num_ranks=1``.
     """
     config = scenario.engine_config()
@@ -170,47 +164,3 @@ def scenario_failure_probability(
 
     return _collect_windows(run_window, windows, n_workers)
 
-
-def estimate_failure_probability(
-    tracker_factory: Callable[[random.Random], Tracker],
-    trace_factory: Callable[[random.Random], Trace],
-    trh: float,
-    max_act: int,
-    refi_per_refw: int,
-    windows: int = 2000,
-    num_rows: int = 1024,
-    seed: int = 7,
-    allow_postponement: bool = False,
-    n_workers: int = 1,
-) -> MonteCarloResult:
-    """Run ``windows`` independent tREFW windows; count flip events.
-
-    The legacy factory-based entry point, kept for callers whose
-    tracker or trace is not registry-describable; registry-describable
-    evaluations should prefer ``Session(scenario).run_many`` — with
-    ``seed`` set to the scenario's ``task_seed()`` the two are
-    bit-identical (pinned by the shim-equivalence tests).
-
-    Each window's RNG is seeded by a stable hash of ``(seed, index)``,
-    not by a sequential draw, so the estimate is a pure function of the
-    inputs: fanning the windows out over ``n_workers`` processes
-    (fork-based; falls back to serial where unavailable) returns
-    bit-identical counts regardless of worker count or scheduling.
-    """
-    timing = scaled_timing(max_act, refi_per_refw)
-    config = EngineConfig(
-        timing=timing,
-        trh=trh,
-        num_rows=num_rows,
-        allow_postponement=allow_postponement,
-        refi_per_refw=refi_per_refw,
-    )
-
-    def run_window(index: int) -> tuple[bool, int]:
-        window_rng = random.Random(stable_seed(seed, "mc-window", index))
-        tracker = tracker_factory(window_rng)
-        trace = trace_factory(window_rng)
-        result = BankSimulator(tracker, config).run(trace)
-        return result.failed, result.mitigations
-
-    return _collect_windows(run_window, windows, n_workers)

@@ -4,6 +4,7 @@ end (stdlib client against a real threaded server)."""
 import csv
 import io
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -115,6 +116,36 @@ class TestQueryAPI:
         assert status["store_disk_bytes"] > 0
         assert status["cache_hits"] == 1
         assert status["trackers"] == ["mint", "para"]
+
+    def test_concurrent_reads_survive_cache_eviction(self):
+        """The threaded server answers reads on many threads at once;
+        a small cache evicts on nearly every miss, and a forced tiny
+        switch interval interleaves the threads inside each eviction."""
+        api = QueryAPI(populated_store(), cache_size=8)
+        errors = []
+
+        def reader(offset):
+            try:
+                for i in range(3000):
+                    api.point(f"zz{offset}-{i}")
+                    api.sweep(tracker="mint")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert api.hits + api.misses == 8 * 3000 * 2
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ from repro.attacks import (
 )
 from repro.core.dmq import DelayedMitigationQueue
 from repro.core.mint import MintTracker
-from repro.sim.engine import BankSimulator, EngineConfig, run_attack
+from tests.single_bank import bank_simulator, run_bank
 
 
 class TestAbstractClaims:
@@ -76,7 +76,7 @@ class TestGuaranteedProtection:
     def test_single_sided_deterministic_bound_without_slot(self, seed):
         params = AttackParams(max_act=73, intervals=400)
         tracker = MintTracker(transitive=False, rng=random.Random(seed))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(single_sided(params))
         model = simulator.device.banks[0]
         base = params.base_row
@@ -87,7 +87,7 @@ class TestGuaranteedProtection:
     def test_single_sided_geometric_tail_with_slot(self, seed):
         params = AttackParams(max_act=73, intervals=400)
         tracker = MintTracker(transitive=True, rng=random.Random(seed))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(single_sided(params))
         model = simulator.device.banks[0]
         base = params.base_row
@@ -99,7 +99,7 @@ class TestGuaranteedProtection:
     def test_double_sided_bounded(self, seed):
         params = AttackParams(max_act=73, intervals=400)
         tracker = MintTracker(rng=random.Random(seed))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(double_sided(params, victim=params.base_row))
         model = simulator.device.banks[0]
         assert model.peak_disturbance(params.base_row) <= 4 * 73 + 4
@@ -111,7 +111,7 @@ class TestTransitiveAttackClaims:
     def test_half_double_beats_mint_without_transitive_slot(self):
         params = AttackParams(max_act=73, intervals=1000)
         tracker = MintTracker(transitive=False, rng=random.Random(3))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(half_double(params))
         model = simulator.device.banks[0]
         distance2 = max(
@@ -124,7 +124,7 @@ class TestTransitiveAttackClaims:
     def test_transitive_slot_caps_half_double(self):
         params = AttackParams(max_act=73, intervals=1000)
         tracker = MintTracker(transitive=True, rng=random.Random(3))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(half_double(params))
         model = simulator.device.banks[0]
         distance2 = max(
@@ -143,7 +143,7 @@ class TestPostponementClaims:
         params = AttackParams(max_act=73, intervals=500)
         target = 31_000
         tracker = MintTracker(rng=random.Random(4))
-        result = run_attack(
+        result = run_bank(
             tracker,
             postponement_decoy(target, params),
             trh=1e9,
@@ -159,7 +159,7 @@ class TestPostponementClaims:
         tracker = DelayedMitigationQueue(
             MintTracker(rng=random.Random(5)), max_act=73, depth=4
         )
-        result = run_attack(
+        result = run_bank(
             tracker,
             postponement_decoy(target, params),
             trh=1e9,
@@ -174,7 +174,7 @@ class TestSpatialCorrelationClaim:
     def test_double_sided_victim_refreshed_by_either_selection(self):
         params = AttackParams(max_act=73, intervals=3000)
         tracker = MintTracker(rng=random.Random(6))
-        simulator = BankSimulator(tracker, EngineConfig(trh=1e9))
+        simulator = bank_simulator(tracker, trh=1e9)
         simulator.run(double_sided(params, victim=params.base_row))
         model = simulator.device.banks[0]
         victim_peak = model.peak_disturbance(params.base_row)

@@ -418,12 +418,9 @@ class TestFusedChannelEquivalence:
 def _march_providers():
     """Compiled march providers runnable on this host; the interpreted
     reference is always one of them."""
-    from repro import kernels
     from repro.kernels import cext
 
     names = []
-    if kernels.HAVE_NUMBA:
-        names.append("numba")
     if cext.available():
         names.append("cext")
     names.append("interpreted")

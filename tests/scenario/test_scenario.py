@@ -1,4 +1,4 @@
-"""The Scenario API: round trips, fingerprints, and shim equivalence.
+"""The Scenario API: round trips, fingerprints, and the Session facade.
 
 The contract under test:
 
@@ -6,13 +6,14 @@ The contract under test:
   scenarios (Hypothesis), including through a real JSON encode/decode;
 * fingerprints are pure functions of the payload — stable across
   processes and worker counts, distinct per coordinate;
-* the legacy free functions (``run_attack``, ``run_rank_attack``,
-  ``estimate_failure_probability``) are bit-identical shims of the
-  ``Session`` facade for **every** registry tracker.
+* ``Session`` runs are deterministic and lift to the rank and channel
+  engines as the scenario's geometry asks, bit-identical to the
+  ``RankSimulator`` runs they wrap for **every** registry tracker.
 """
 
 import gc
 import json
+import random
 import string
 import weakref
 from dataclasses import asdict, replace
@@ -30,11 +31,13 @@ from repro.scenario import (
     TrackerSpec,
     run_scenario,
 )
-from repro.sim.engine import run_attack, run_rank_attack
-from repro.sim.montecarlo import estimate_failure_probability, scaled_timing
+from repro.sim.engine import EngineConfig, RankSimulator
+from repro.sim.montecarlo import MonteCarloResult, scaled_timing
+from repro.sim.seeding import stable_seed
 from repro.trackers import available_trackers, make_tracker
 
 from ..property.settings import DETERMINISM_SETTINGS, QUICK_SETTINGS
+from ..single_bank import run_bank
 
 # The scaled regime: whole-trace runs take milliseconds per tracker.
 FAST = dict(
@@ -220,14 +223,16 @@ class TestFingerprint:
         assert serial == pooled
 
 
-class TestShimEquivalence:
-    """The legacy free functions are pinned bit-identical to Session."""
+class TestSessionMatchesEngine:
+    """Session is pinned bit-identical to the engine entries it wraps,
+    built by hand from live trackers and traces, for every registry
+    tracker."""
 
     @pytest.mark.parametrize("name", available_trackers())
-    def test_run_attack_matches_session(self, name):
+    def test_single_bank_session_matches_bank_run(self, name):
         scenario = fast_scenario(tracker=name)
         facade = Session(scenario).run().per_bank[0]
-        legacy = run_attack(
+        direct = run_bank(
             scenario.build_tracker(0),
             scenario.build_trace(),
             trh=scenario.trh,
@@ -235,37 +240,47 @@ class TestShimEquivalence:
             num_rows=scenario.num_rows,
             refi_per_refw=scenario.refi_per_refw,
         )
-        assert asdict(legacy) == asdict(facade)
+        assert asdict(direct) == asdict(facade)
 
     @pytest.mark.parametrize("name", available_trackers())
-    def test_run_rank_attack_matches_session(self, name):
+    def test_rank_session_matches_rank_simulator(self, name):
         scenario = fast_scenario(
             tracker=name,
             attack=AttackSpec.of("rank-stripe", sides=6),
             num_banks=3,
         )
         facade = Session(scenario).run()
-        legacy = run_rank_attack(
+        direct = RankSimulator(
             scenario.tracker_factory(),
-            scenario.build_trace(),
-            trh=scenario.trh,
-            num_banks=scenario.num_banks,
-            timing=scaled_timing(scenario.max_act, scenario.refi_per_refw),
-            num_rows=scenario.num_rows,
-            refi_per_refw=scenario.refi_per_refw,
-        )
-        assert asdict(legacy) == asdict(facade)
+            EngineConfig(
+                trh=scenario.trh,
+                num_banks=scenario.num_banks,
+                timing=scaled_timing(
+                    scenario.max_act, scenario.refi_per_refw
+                ),
+                num_rows=scenario.num_rows,
+                refi_per_refw=scenario.refi_per_refw,
+            ),
+        ).run(scenario.build_trace())
+        assert asdict(direct) == asdict(facade)
 
     @pytest.mark.parametrize("name", available_trackers())
-    def test_estimate_failure_probability_matches_run_many(self, name):
+    def test_run_many_matches_hand_rolled_windows(self, name):
+        """run_many's documented window contract: one window RNG per
+        index, threaded through tracker construction, then trace
+        construction, into a fresh one-bank run."""
         scenario = fast_scenario(tracker=name, attack="single-sided",
                                  trh=30.0)
-        facade = Session(scenario).run_many(windows=6)
-        legacy = estimate_failure_probability(
-            tracker_factory=lambda rng: make_tracker(
-                name, rng=rng, max_act=scenario.max_act
-            ),
-            trace_factory=lambda rng: make_attack(
+        windows = 6
+        facade = Session(scenario).run_many(windows=windows)
+
+        failures = mitigations = 0
+        for index in range(windows):
+            rng = random.Random(
+                stable_seed(scenario.task_seed(), "mc-window", index)
+            )
+            tracker = make_tracker(name, rng=rng, max_act=scenario.max_act)
+            trace = make_attack(
                 "single-sided",
                 AttackParams(
                     max_act=scenario.max_act,
@@ -273,15 +288,22 @@ class TestShimEquivalence:
                     base_row=scenario.base_row,
                 ),
                 rng=rng,
-            ),
-            trh=scenario.trh,
-            max_act=scenario.max_act,
-            refi_per_refw=scenario.refi_per_refw,
-            windows=6,
-            num_rows=scenario.num_rows,
-            seed=scenario.task_seed(),
+            )
+            result = run_bank(
+                tracker,
+                trace,
+                trh=scenario.trh,
+                timing=scaled_timing(
+                    scenario.max_act, scenario.refi_per_refw
+                ),
+                num_rows=scenario.num_rows,
+                refi_per_refw=scenario.refi_per_refw,
+            )
+            failures += result.failed
+            mitigations += result.mitigations
+        assert facade == MonteCarloResult(
+            windows=windows, failures=failures, total_mitigations=mitigations
         )
-        assert legacy == facade
 
 
 class TestSimulatorLifetime:

@@ -1,21 +1,20 @@
-"""Channel-level engine tests: the equivalence and back-compat pins.
+"""Channel-level engine tests: the equivalence pins.
 
-The two load-bearing guarantees of the channel refactor, mirroring the
-rank refactor's pins one level up:
+The two load-bearing guarantees of the channel engine, mirroring the
+rank engine's pins one level up:
 
 * **Channel equivalence** — one :class:`ChannelSimulator` run over a
   per-rank schedule set is bit-identical, rank for rank, to N
   independent :class:`RankSimulator` runs under the per-rank seed
   derivation (ranks share only the channel *clock*, never refresh
   schedules, disturbance, or tracker state).
-* **Single-rank backward compatibility** — a 1-rank channel run of any
-  existing trace is the rank-0 wrapping of today's
-  :class:`RankSimulator` result, so pre-channel callers see
-  bit-identical :class:`RankSimResult`s.
+* **Single-rank identity** — a 1-rank channel run of any rank trace is
+  the rank-0 wrapping of the :class:`RankSimulator` result, bit for
+  bit.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -26,12 +25,7 @@ from repro.attacks.channel import (
     rank_synchronized,
 )
 from repro.attacks.rank import rank_stripe
-from repro.sim.engine import (
-    ChannelSimulator,
-    EngineConfig,
-    RankSimulator,
-    run_channel_attack,
-)
+from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
 from repro.sim.trace import ChannelTrace, RankInterval, RankTrace
 from repro.trackers.registry import (
     available_trackers,
@@ -69,7 +63,9 @@ class TestChannelEquivalence:
         factory = channel_tracker_factory(tracker, base_seed=13, max_act=8)
         config = EngineConfig(num_banks=2, **CONFIG_KWARGS)
 
-        channel = ChannelSimulator(factory, config, num_ranks=num_ranks)
+        channel = ChannelSimulator(
+            factory, replace(config, num_ranks=num_ranks)
+        )
         result = channel.run(trace)
 
         assert result.num_ranks == num_ranks
@@ -85,8 +81,8 @@ class TestChannelEquivalence:
             ), f"rank {rank} diverged for tracker {tracker!r}"
 
     def test_single_rank_channel_is_rank_run(self):
-        """A 1-rank ChannelSimulator run of an existing rank trace is
-        bit-identical to today's RankSimulator."""
+        """A 1-rank ChannelSimulator run of a rank trace is
+        bit-identical to a RankSimulator run."""
         params = AttackParams(max_act=8, intervals=200, base_row=64)
         trace = rank_stripe(6, 2, params)
         config = EngineConfig(num_banks=2, **CONFIG_KWARGS)
@@ -98,9 +94,7 @@ class TestChannelEquivalence:
             ),
             config,
         ).run(trace)
-        channel_result = ChannelSimulator(factory, config, num_ranks=1).run(
-            trace
-        )
+        channel_result = ChannelSimulator(factory, config).run(trace)
 
         assert channel_result.num_ranks == 1
         assert _canonical(channel_result.per_rank[0]) == _canonical(
@@ -123,14 +117,13 @@ class TestChannelEquivalence:
             },
         )
         config = EngineConfig(
-            num_banks=2, allow_postponement=True, **CONFIG_KWARGS
+            num_banks=2, num_ranks=3, allow_postponement=True, **CONFIG_KWARGS
         )
 
         def run(t):
             return ChannelSimulator(
                 channel_tracker_factory("mint", base_seed=5, max_act=8),
                 config,
-                num_ranks=3,
             ).run(t)
 
         assert _canonical(run(trace)) == _canonical(run(materialized))
@@ -141,8 +134,9 @@ class TestChannelSimulatorContract:
         trace = _channel_trace(3)
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(
+                num_banks=2, num_ranks=2, **CONFIG_KWARGS
+            ),
         )
         with pytest.raises(ValueError, match="addresses rank 2"):
             sim.run(trace)
@@ -158,8 +152,9 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(
+                num_banks=2, num_ranks=2, **CONFIG_KWARGS
+            ),
         )
         with pytest.raises(ValueError, match="interval 5000"):
             sim.run(ChannelTrace(name="bad", per_rank={0: deep_bad}))
@@ -174,8 +169,9 @@ class TestChannelSimulatorContract:
         trace = _channel_trace(2)
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(
+                num_banks=2, num_ranks=2, **CONFIG_KWARGS
+            ),
         )
         first = sim.run(trace)
         assert first.intervals > 0
@@ -210,8 +206,9 @@ class TestChannelSimulatorContract:
         num_ranks = 2
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=num_ranks,
+            EngineConfig(
+                num_banks=2, num_ranks=num_ranks, **CONFIG_KWARGS
+            ),
         )
         sim.run(_channel_trace(num_ranks))
         # One whole-trace pass per addressed rank, zero re-validation
@@ -248,8 +245,9 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=num_ranks,
+            EngineConfig(
+                num_banks=2, num_ranks=num_ranks, **CONFIG_KWARGS
+            ),
         )
         sim.run(trace)
         # One pattern-sized pass per rank; never the 5000-interval
@@ -264,8 +262,9 @@ class TestChannelSimulatorContract:
         bad = RankInterval.of([(9, 1)])  # bank out of range
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=1,
+            EngineConfig(
+                num_banks=2, num_ranks=1, **CONFIG_KWARGS
+            ),
         )
         trace = ChannelTrace(
             name="bad-bank",
@@ -286,8 +285,9 @@ class TestChannelSimulatorContract:
         )
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=1,
+            EngineConfig(
+                num_banks=2, num_ranks=1, **CONFIG_KWARGS
+            ),
         )
         with pytest.raises(ValueError, match="interval 10"):
             sim.run(ChannelTrace(name="bad", per_rank={0: bad}))
@@ -304,8 +304,9 @@ class TestChannelSimulatorContract:
     def test_idle_ranks_report_empty_results(self):
         sim = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=1, max_act=8),
-            EngineConfig(num_banks=2, **CONFIG_KWARGS),
-            num_ranks=2,
+            EngineConfig(
+                num_banks=2, num_ranks=2, **CONFIG_KWARGS
+            ),
         )
         trace = RankTrace("solo", [RankInterval.of([(0, 9)])] * 16)
         result = sim.run(trace)  # rank-scoped input lands on rank 0
@@ -314,18 +315,13 @@ class TestChannelSimulatorContract:
         assert result.per_rank[1].intervals == 0
         assert result.intervals == 16
 
-    def test_run_channel_attack_shim(self):
+    def test_synchronized_attack_sums_rank_results(self):
         params = AttackParams(max_act=8, intervals=100, base_row=64)
         trace = rank_synchronized(4, 2, params, num_banks=2)
-        result = run_channel_attack(
+        result = ChannelSimulator(
             channel_tracker_factory("mint", base_seed=3, max_act=8),
-            trace,
-            trh=200.0,
-            num_ranks=2,
-            num_banks=2,
-            num_rows=4096,
-            refi_per_refw=64,
-        )
+            EngineConfig(num_banks=2, num_ranks=2, **CONFIG_KWARGS),
+        ).run(trace)
         assert result.num_ranks == 2
         assert result.demand_acts == sum(
             r.demand_acts for r in result.per_rank

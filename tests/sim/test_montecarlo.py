@@ -6,33 +6,37 @@ import pytest
 
 from repro.analysis.saroiu_wolman import failure_probability
 from repro.core.mint import MintTracker
-from repro.sim.montecarlo import estimate_failure_probability, scaled_timing
+from repro.scenario import AttackSpec, Scenario, Session, TrackerSpec
+from repro.sim.montecarlo import scaled_timing
 from repro.sim.trace import Interval, Trace
-from repro.trackers.base import NullTracker
+from tests.single_bank import bank_simulator
 
 
 MAX_ACT = 8
 REFI_PER_REFW = 64
 
 
-def one_per_interval_trace(rng, rows=MAX_ACT, intervals=REFI_PER_REFW):
-    """Scaled pattern-2: `rows` rows, one activation each per interval.
+def scaled_pattern2(trh, rows=MAX_ACT, seed=42):
+    """MINT (no transitive slot) vs scaled pattern-2: `rows` rows, one
+    activation each per interval, over one 64-tREFI window at M=8.
 
     Rows sit in the auto-refresh slice served at the *last* REF of the
     window (rows 940+ of 1024 with 64 slices), so the rolling refresh
     cannot interrupt a failure run mid-window and the analytic model
     applies without the geometric correction.
     """
-    bases = [940 + 10 * i for i in range(rows)]
-    out = []
-    cursor = 0
-    for _ in range(intervals):
-        acts = []
-        for _ in range(min(MAX_ACT, rows)):
-            acts.append(bases[cursor % rows])
-            cursor += 1
-        out.append(Interval.of(acts))
-    return Trace("scaled-pattern2", out)
+    return Scenario(
+        tracker=TrackerSpec.of("mint", transitive=False),
+        attack=AttackSpec.of("pattern2", k=rows, spacing=10),
+        trh=trh,
+        intervals=REFI_PER_REFW,
+        max_act=MAX_ACT,
+        base_row=940,
+        num_rows=1024,
+        refi_per_refw=REFI_PER_REFW,
+        scaled_timing=True,
+        seed=seed,
+    )
 
 
 class TestScaledTiming:
@@ -57,18 +61,7 @@ class TestCrossValidation:
         """
         trh = 40
         rows = MAX_ACT
-        result = estimate_failure_probability(
-            tracker_factory=lambda rng: MintTracker(
-                max_act=MAX_ACT, transitive=False, rng=rng
-            ),
-            trace_factory=lambda rng: one_per_interval_trace(rng, rows=rows),
-            trh=trh,
-            max_act=MAX_ACT,
-            refi_per_refw=REFI_PER_REFW,
-            windows=4000,
-            num_rows=1024,
-            seed=42,
-        )
+        result = Session(scaled_pattern2(trh, rows=rows)).run_many(4000)
         per_row = failure_probability(REFI_PER_REFW, 1.0 / MAX_ACT, trh)
         predicted = rows * per_row  # union bound over aggressor rows
         lo, hi = result.confidence_interval(z=3.0)
@@ -78,35 +71,31 @@ class TestCrossValidation:
         )
 
     def test_unprotected_always_fails(self):
-        result = estimate_failure_probability(
-            tracker_factory=lambda rng: NullTracker(),
-            trace_factory=lambda rng: Trace(
-                "hammer", [Interval.of([100] * MAX_ACT)] * 32
-            ),
+        scenario = Scenario(
+            tracker="none",
+            attack="single-sided",
             trh=50,
+            intervals=32,
             max_act=MAX_ACT,
+            base_row=100,
             refi_per_refw=REFI_PER_REFW,
-            windows=20,
+            scaled_timing=True,
             seed=1,
         )
+        result = Session(scenario).run_many(20)
         assert result.failure_probability == 1.0
 
     def test_guaranteed_protection_bounds_direct_victims(self):
         """Classic single-sided vs MINT: the direct victims never see
         more than ~2M unmitigated hammers (Section V-C). The transitive
         channel is asserted separately (it needs the transitive slot)."""
-        from repro.sim.engine import BankSimulator, EngineConfig
-        from repro.sim.montecarlo import scaled_timing
-
         timing = scaled_timing(MAX_ACT, REFI_PER_REFW)
         for seed in range(10):
-            simulator = BankSimulator(
+            simulator = bank_simulator(
                 MintTracker(max_act=MAX_ACT, transitive=False,
                             rng=random.Random(seed)),
-                EngineConfig(
-                    timing=timing, trh=1e9, num_rows=1024,
-                    refi_per_refw=REFI_PER_REFW,
-                ),
+                timing=timing, trh=1e9, num_rows=1024,
+                refi_per_refw=REFI_PER_REFW,
             )
             simulator.run(
                 Trace("classic", [Interval.of([500] * MAX_ACT)] * REFI_PER_REFW)
@@ -182,23 +171,13 @@ class TestWilsonInterval:
 
 class TestParallelFanOut:
     def _estimate(self, n_workers):
-        return estimate_failure_probability(
-            tracker_factory=lambda rng: MintTracker(
-                max_act=MAX_ACT, transitive=False, rng=rng
-            ),
-            trace_factory=lambda rng: one_per_interval_trace(rng),
-            trh=30,
-            max_act=MAX_ACT,
-            refi_per_refw=REFI_PER_REFW,
-            windows=80,
-            num_rows=1024,
-            seed=42,
-            n_workers=n_workers,
+        return Session(scaled_pattern2(trh=30)).run_many(
+            80, n_workers=n_workers
         )
 
     def test_worker_count_does_not_change_counts(self):
-        """Per-window seeds are a stable hash of (seed, index), so the
-        fan-out is bit-identical to the serial run."""
+        """Per-window seeds are a stable hash of (task seed, index), so
+        the fan-out is bit-identical to the serial run."""
         serial = self._estimate(n_workers=1)
         pooled = self._estimate(n_workers=4)
         assert serial == pooled

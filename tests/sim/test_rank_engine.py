@@ -1,31 +1,22 @@
-"""Rank-level engine tests: the equivalence and back-compat pins.
+"""Rank-level engine tests: the equivalence pins.
 
-The two load-bearing guarantees of the rank refactor:
+The two load-bearing guarantees of the rank engine:
 
 * **Rank equivalence** — one ``RankSimulator`` run over a
   bank-partitioned trace is bit-identical, bank for bank, to N
-  independent ``BankSimulator`` runs (banks share only the refresh
-  *schedule*, never disturbance or tracker state).
-* **Single-bank backward compatibility** — ``BankSimulator`` /
-  ``run_attack`` results are the bank-0 projection of a 1-bank rank
-  run, so pre-rank callers see bit-identical ``SimResult``s.
+  independent one-bank runs (banks share only the refresh *schedule*,
+  never disturbance or tracker state).
+* **Row-only lifting** — a row-only ``Trace`` runs on bank 0 exactly
+  like its bank-addressed lift, so single-bank callers need no
+  bank-addressed schedule.
 """
-
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.attacks import AttackParams, cross_bank_decoy, double_sided
-from repro.sim.engine import (
-    BankSimulator,
-    EngineConfig,
-    RankSimulator,
-    run_attack,
-    run_rank_attack,
-)
+from repro.sim.engine import EngineConfig, RankSimulator
 from repro.sim.trace import (
-    Interval,
     RankInterval,
     RankTrace,
     Trace,
@@ -35,6 +26,7 @@ from repro.sim.trace import (
 from repro.trackers.base import NullTracker
 from repro.trackers.registry import bank_tracker_factory, make_tracker
 from tests.property.settings import SLOW_SETTINGS
+from tests.single_bank import run_bank
 
 CONFIG_KWARGS = dict(trh=150.0, num_rows=2048, refi_per_refw=64)
 
@@ -73,17 +65,15 @@ class TestRankEquivalence:
     @given(bank_partitions())
     @SLOW_SETTINGS
     def test_rank_run_equals_independent_bank_runs(self, partition):
-        """N independent BankSimulators == one RankSimulator, bitwise."""
+        """N independent one-bank runs == one N-bank run, bitwise."""
         num_banks, intervals, bank_rows = partition
         traces = partitioned_traces(bank_rows, intervals)
         factory = mint_factory(base_seed=13, max_act=8)
 
-        expected = []
-        for bank, trace in enumerate(traces):
-            sim = BankSimulator(
-                factory(bank), EngineConfig(**CONFIG_KWARGS)
-            )
-            expected.append(sim.run(trace))
+        expected = [
+            run_bank(factory(bank), trace, **CONFIG_KWARGS)
+            for bank, trace in enumerate(traces)
+        ]
 
         rank = RankSimulator(
             mint_factory(base_seed=13, max_act=8),
@@ -95,30 +85,20 @@ class TestRankEquivalence:
         for bank in range(num_banks):
             assert result.per_bank[bank] == expected[bank]
 
-    def test_single_bank_shim_is_bank_zero_projection(self):
-        params = AttackParams(intervals=200)
-        trace = double_sided(params, victim=1000)
-        bank_result = BankSimulator(
-            make_tracker("mint", seed=99), EngineConfig(**CONFIG_KWARGS)
-        ).run(trace)
-        rank_result = RankSimulator(
-            lambda bank: make_tracker("mint", seed=99),
-            EngineConfig(num_banks=1, **CONFIG_KWARGS),
-        ).run(trace)
-        assert rank_result.per_bank[0] == bank_result
-
     def test_lifted_trace_matches_row_only_trace(self):
         trace = Trace("t", repeat_interval([100] * 8, 40, postpone=True))
         config = EngineConfig(allow_postponement=True, **CONFIG_KWARGS)
-        plain = BankSimulator(make_tracker("mint", seed=3), config).run(trace)
+        plain = RankSimulator(
+            lambda bank: make_tracker("mint", seed=3), config
+        ).run(trace)
         lifted = RankSimulator(
             lambda bank: make_tracker("mint", seed=3), config
         ).run(lift_trace(trace))
-        assert lifted.per_bank[0] == plain
+        assert lifted == plain
 
-    def test_run_attack_unchanged_for_row_traces(self):
+    def test_row_trace_runs_on_bank_zero(self):
         trace = Trace("t", repeat_interval([100] * 73, 10))
-        result = run_attack(NullTracker(), trace, trh=100)
+        result = run_bank(NullTracker(), trace, trh=100)
         assert result.failed
         assert result.flips[0].row in (99, 101)
         assert result.demand_acts == 730
@@ -204,13 +184,6 @@ class TestRankSimulator:
                 lambda bank: NullTracker(), EngineConfig(num_banks=0)
             )
 
-    def test_legacy_positional_num_banks_rejected_clearly(self):
-        """The pre-rank API took num_banks as the second positional;
-        passing it that way now gets a pointed TypeError, not a crash
-        deep in config access."""
-        with pytest.raises(TypeError, match="num_banks=N"):
-            RankSimulator(lambda bank: NullTracker(), 4)
-
     def test_tracker_factory_called_per_bank(self):
         built = []
 
@@ -221,46 +194,23 @@ class TestRankSimulator:
         RankSimulator(factory, EngineConfig(num_banks=3, num_rows=1024))
         assert built == [0, 1, 2]
 
-    def test_run_rank_attack_convenience(self):
-        trace = cross_bank_decoy(
-            500, 2, AttackParams(max_act=8, intervals=20), postponed=4
-        )
-        result = run_rank_attack(
-            mint_factory(max_act=8),
-            trace,
-            trh=1e9,
-            num_banks=2,
-            num_rows=2048,
-            allow_postponement=True,
-        )
-        assert result.num_banks == 2
-        assert result.per_bank[0].demand_acts > 0
-
-    def test_legacy_per_bank_trace_list_still_runs(self):
-        """The pre-rank fan-out input format: one row trace per bank."""
-        params = AttackParams(max_act=8, intervals=30)
-        traces = [double_sided(params, victim=500)] * 2
-        simulator = RankSimulator(
-            mint_factory(max_act=8),
-            EngineConfig(num_banks=2, trh=1e9, num_rows=1024),
-        )
-        result = simulator.run(traces)
-        assert result.num_banks == 2
-        assert all(r.demand_acts > 0 for r in result.per_bank)
-        assert result.total_mitigations == result.mitigations
-
-    def test_legacy_tfaw_ceiling_enforced(self):
+    def test_tfaw_ceiling_enforced_on_merged_bank_traces(self):
+        """Five per-bank row traces merged into one rank schedule keep
+        five banks busy every tREFI, one more than tFAW sustains."""
         params = AttackParams(max_act=8, intervals=5)
         simulator = RankSimulator(
             lambda bank: NullTracker(),
             EngineConfig(num_banks=8, num_rows=1024, concurrent_banks=4),
         )
-        with pytest.raises(ValueError):
-            simulator.run([double_sided(params, victim=500)] * 5)
+        trace = RankTrace.from_bank_traces(
+            "five", [double_sided(params, victim=500)] * 5
+        )
+        with pytest.raises(ValueError, match="tFAW"):
+            simulator.run(trace)
 
     def test_tfaw_ceiling_applies_to_rank_traces_too(self):
-        """Bank-addressed input obeys the same physical ceiling as the
-        legacy per-bank-trace format."""
+        """Hand-built bank-addressed input obeys the same physical
+        ceiling as merged per-bank traces."""
         simulator = RankSimulator(
             lambda bank: NullTracker(),
             EngineConfig(num_banks=8, num_rows=1024, concurrent_banks=4),
@@ -270,19 +220,6 @@ class TestRankSimulator:
         )
         with pytest.raises(ValueError):
             simulator.run(trace)
-
-    def test_legacy_rank_result_constructible_from_per_bank(self):
-        with pytest.warns(DeprecationWarning, match="RankResult"):
-            from repro.sim.rank import RankResult
-
-        bank = run_attack(
-            NullTracker(), Trace("t", repeat_interval([100], 3)), trh=1e9
-        )
-        result = RankResult(per_bank=[bank])
-        assert result.num_banks == 1
-        assert not result.any_flip
-        assert result.total_mitigations == 0
-
 
 class TestCrossBankDecoyExposure:
     def test_target_bank_absorbs_postponed_hammering(self):

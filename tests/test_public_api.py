@@ -36,31 +36,38 @@ class TestTopLevelApi:
 
     def test_readme_quickstart_snippet(self):
         """The exact code shown in README.md must work."""
+        from repro import Scenario, Session
+
+        scenario = Scenario(tracker="mint", attack="double-sided",
+                            trh=4800, intervals=1000, seed=42)
+        result = Session(scenario).run()
+        assert not result.failed
+
+    def test_readme_live_tracker_snippet(self):
+        """README's live-tracker-object snippet must work too."""
         import random
 
-        from repro import MintTracker, run_attack
+        from repro import EngineConfig, MintTracker, RankSimulator
         from repro.attacks import AttackParams, double_sided
 
         tracker = MintTracker(
             max_act=73, transitive=True, rng=random.Random(42)
         )
         trace = double_sided(AttackParams(intervals=1000), victim=1000)
-        result = run_attack(tracker, trace, trh=4800)
+        sim = RankSimulator(lambda _bank: tracker, EngineConfig(trh=4800))
+        result = sim.run(trace).per_bank[0]
         assert not result.failed
 
     def test_docstring_quickstart_snippet(self):
         """The module docstring's example must work too."""
         import random
 
-        from repro import MintTracker, run_attack
+        from repro import EngineConfig, MintTracker, RankSimulator
         from repro.attacks import AttackParams, double_sided
 
         tracker = MintTracker(rng=random.Random(1))
-        result = run_attack(
-            tracker,
-            double_sided(AttackParams(intervals=1000)),
-            trh=4800,
-        )
+        sim = RankSimulator(lambda _bank: tracker, EngineConfig(trh=4800))
+        result = sim.run(double_sided(AttackParams(intervals=1000)))
         assert not result.failed
 
 
