@@ -2,8 +2,8 @@
 
 Two pins on the engine's hot loop:
 
-* Sub-linear bank scaling — the engine dispatches each interval's ACT
-  batch per bank through the batched ``activate_many`` hot path, so the
+* Sub-linear bank scaling — the fused march folds every bank's ACT
+  batch into one packed disturbance scatter per interval, so the
   per-ACT cost should be nearly flat as banks are added: driving B
   banks at full rate costs ~B× the *work* of one bank (B× the ACTs),
   not B× the *per-ACT overhead*.

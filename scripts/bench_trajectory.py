@@ -51,6 +51,7 @@ import json
 import platform
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -66,6 +67,7 @@ from repro.attacks.rank import (  # noqa: E402
     cross_bank_decoy_stream,
     rank_stripe,
 )
+from repro.kernels import forced_provider  # noqa: E402
 from repro.scenario import AttackSpec, Scenario, Session, TrackerSpec  # noqa: E402
 from repro.sim.engine import (  # noqa: E402
     ChannelSimulator,
@@ -233,17 +235,25 @@ def bench_channel_scaling(
 
 def _engine_legs(provider) -> list:
     """The production tiers plus the reference engine, as ``(label,
-    EngineConfig overrides)``; ``compiled`` only when a provider
-    exists on this host."""
+    forced provider, EngineConfig overrides)``; ``compiled`` only when
+    a provider exists on this host. A forced provider of ``None`` keeps
+    the host's own resolution (see :func:`_provider_context`)."""
     legs = [
-        # backend pinned: this leg tracks the pure-NumPy fused march,
-        # which backend="auto" would replace by the compiled tier.
-        ("fused", dict(backend="numpy")),
-        ("scalar", dict(vectorized=False)),
+        # No provider: this leg tracks the pure-NumPy fused march,
+        # which the compiled tier would otherwise replace.
+        ("fused", "none", {}),
+        ("scalar", None, dict(vectorized=False)),
     ]
     if provider is not None:
-        legs.insert(0, ("compiled", dict(backend="compiled")))
+        legs.insert(0, ("compiled", None, {}))
     return legs
+
+
+def _provider_context(forced):
+    """Pin kernel-provider resolution to ``forced`` for one leg, or
+    leave it alone (``REPRO_KERNELS`` included) when ``forced`` is
+    None."""
+    return nullcontext() if forced is None else forced_provider(forced)
 
 
 def bench_fused_channel(
@@ -305,12 +315,12 @@ def bench_fused_channel(
             "provider": provider,
         }
         results = {}
-        best = {label: float("inf") for label, _ in legs}
+        best = {label: float("inf") for label, *_ in legs}
         # Repeats interleave the engines so a load burst on a shared
         # box lands on all of them instead of skewing one label's whole
         # timing window (this point records cross-engine *ratios*).
         for _ in range(repeats):
-            for label, overrides in legs:
+            for label, forced, overrides in legs:
                 simulator = ChannelSimulator(
                     channel_tracker_factory(tracker, base_seed=7),
                     EngineConfig(
@@ -320,17 +330,18 @@ def bench_fused_channel(
                         **overrides,
                     ),
                 )
-                started = time.perf_counter()
-                results[label] = simulator.run(trace)
-                best[label] = min(
-                    best[label], time.perf_counter() - started
-                )
-        for label, _ in legs:
+                with _provider_context(forced):
+                    started = time.perf_counter()
+                    results[label] = simulator.run(trace)
+                    best[label] = min(
+                        best[label], time.perf_counter() - started
+                    )
+        for label, *_ in legs:
             point[f"{label}_acts_per_second"] = round(
                 total_acts / best[label], 1
             )
             point[f"{label}_seconds"] = round(best[label], 6)
-        for label, _ in legs[:-1]:
+        for label, *_ in legs[:-1]:
             point[f"{label}_speedup_vs_scalar"] = round(
                 point[f"{label}_acts_per_second"]
                 / point["scalar_acts_per_second"],
@@ -352,8 +363,11 @@ def smoke_paper_scenario() -> int:
 
     scenario = Scenario(tracker="mint", attack="double-sided", seed=7)
     canon = {}
-    for label, overrides in _engine_legs(kernels.provider()):
-        canon[label] = _canonical(Session(replace(scenario, **overrides)).run())
+    for label, forced, overrides in _engine_legs(kernels.provider()):
+        with _provider_context(forced):
+            canon[label] = _canonical(
+                Session(replace(scenario, **overrides)).run()
+            )
     identical = len(set(canon.values())) == 1
     print(
         f"{'mint':>10s} single-rank paper scenario identity across "

@@ -66,20 +66,15 @@ class DramDevice:
         self.banks[bank].activate(row, time_ns)
 
     def activate_many(
-        self,
-        bank: int,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg=None,
+        self, bank: int, rows: RowBatch, time_ns: float = 0.0
     ) -> None:
         """Batch of demand activations on one bank (hot-loop entry).
 
         ``rows`` may be any integer sequence or NumPy array and is
-        never mutated. ``agg`` is the optional sorted
-        ``(unique_rows, counts)`` pre-aggregation shared by the engine
-        (see :meth:`repro.dram.rowstate.RowDisturbanceModel.activate_many`).
+        never mutated (see
+        :meth:`repro.dram.rowstate.RowDisturbanceModel.activate_many`).
         """
-        self.banks[bank].activate_many(rows, time_ns, agg=agg)
+        self.banks[bank].activate_many(rows, time_ns)
 
     def activate_flat(self, address: int, time_ns: float = 0.0) -> tuple[int, int]:
         """Activate by flat physical address; returns the decoded

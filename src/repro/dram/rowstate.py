@@ -16,23 +16,21 @@ Two storage backends implement the same contract:
 
 ``sparse`` (:class:`RowDisturbanceModel` proper)
     A ``dict`` keyed by row. Attacks touch a handful of rows out of
-    128K, so the dict wins for tiny banks and ad-hoc interactive use,
-    and it works without NumPy.
+    128K, so the dict wins for tiny banks and ad-hoc interactive use;
+    the reference engine runs on it.
 ``dense`` (:class:`DenseRowDisturbanceModel`)
     NumPy ``float64`` disturbance/peak vectors plus a flipped bitmap.
-    ``activate_many`` pre-aggregates the batch (unique rows + counts),
-    scatters the neighbour contributions in a handful of vector ops,
-    and detects flips by diffing a threshold mask against the bitmap.
-    Batches that interleave aggressors with their own victims (adjacent
-    activated rows) or that produce new flips are replayed through an
-    activation-exact scalar loop, so results are numerically identical
-    to the sparse backend — bit for bit, including flip-event order.
+    The fused march adopts these vectors as row views of its packed
+    ``(unit, row)`` arrays and owns the batched neighbour scatter; the
+    model's ``activate_many`` is the activation-exact replay the march
+    falls back to for order-sensitive batches, so results are
+    numerically identical to the sparse backend — bit for bit,
+    including flip-event order.
 
 Backend selection is automatic: constructing :class:`RowDisturbanceModel`
-picks the dense backend when NumPy is importable and the bank has at
-least :data:`DENSE_MIN_ROWS` rows, and the sparse dict otherwise. Pass
-``backend="sparse"``/``"dense"`` to force one (forcing ``"dense"``
-without NumPy raises).
+picks the dense backend when the bank has at least
+:data:`DENSE_MIN_ROWS` rows, and the sparse dict otherwise. Pass
+``backend="sparse"``/``"dense"`` to force one.
 """
 
 from __future__ import annotations
@@ -40,16 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from ..cache import BoundedCache
+import numpy as np
 
-try:  # NumPy is a declared dependency, but the sparse backend works
-    import numpy as np  # without it so stripped-down installs degrade
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
-
-#: Banks with at least this many rows get the dense backend under
-#: ``backend="auto"``. Below it (unit-test sized models, ad-hoc use)
-#: the dict backend's zero allocation cost wins.
+#: Banks with at least this many rows get the dense backend when the
+#: storage backend is left on ``"auto"``. Below it (unit-test sized
+#: models, ad-hoc use) the dict backend's zero allocation cost wins.
 DENSE_MIN_ROWS = 1024
 
 #: Accepted row-batch types for ``activate_many``. Arrays are read,
@@ -59,11 +52,7 @@ RowBatch = Union[Sequence[int], "np.ndarray"]
 
 def _resolve_backend(backend: str, num_rows: int) -> str:
     if backend == "auto":
-        if np is not None and num_rows >= DENSE_MIN_ROWS:
-            return "dense"
-        return "sparse"
-    if backend == "dense" and np is None:
-        raise RuntimeError("backend='dense' requires numpy")
+        return "dense" if num_rows >= DENSE_MIN_ROWS else "sparse"
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown backend {backend!r}; use auto/sparse/dense")
     return backend
@@ -101,8 +90,8 @@ class RowDisturbanceModel:
         ``decay=1.0`` to reproduce the paper.
     backend:
         ``"auto"`` (default) picks the dense NumPy backend for banks of
-        at least :data:`DENSE_MIN_ROWS` rows when NumPy is available,
-        the sparse dict otherwise; ``"sparse"``/``"dense"`` force one.
+        at least :data:`DENSE_MIN_ROWS` rows, the sparse dict otherwise;
+        ``"sparse"``/``"dense"`` force one.
     """
 
     #: Storage backend implemented by this class ("sparse" or "dense").
@@ -173,22 +162,14 @@ class RowDisturbanceModel:
                 if 0 <= victim < self.num_rows:
                     self._bump(victim, contribution, time_ns)
 
-    def activate_many(
-        self,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg: tuple["np.ndarray", "np.ndarray"] | None = None,
-    ) -> None:
+    def activate_many(self, rows: RowBatch, time_ns: float = 0.0) -> None:
         """Record a batch of activations in order (hot-loop entry point).
 
         Semantically identical to calling :meth:`activate` once per row.
         ``rows`` may be any integer sequence or a NumPy array; it is
-        never mutated. ``agg``, when given, is the batch's sorted
-        ``(unique_rows, counts)`` pre-aggregation — the simulation
-        engine computes it once per interval and shares it between the
-        oracle and the tracker; the sparse backend ignores it.
+        never mutated.
         """
-        if np is not None and isinstance(rows, np.ndarray):
+        if isinstance(rows, np.ndarray):
             rows = rows.tolist()
         if self.blast_radius != 1 or self.decay != 1.0:
             for row in rows:
@@ -353,41 +334,26 @@ class RowDisturbanceModel:
 
 
 class DenseRowDisturbanceModel(RowDisturbanceModel):
-    """NumPy-backed oracle: dense vectors, batched neighbour scatter.
+    """NumPy-backed oracle: dense disturbance/peak vectors.
 
     State is three vectors over the bank's rows — ``float64``
-    disturbance and peak, plus a flipped bitmap. The batched
-    :meth:`activate_many` fast path aggregates the batch to unique rows,
-    scatters both neighbours' contributions with one bincount, and
-    compares the updated totals against TRH as a mask diffed with the
-    bitmap. Two batch shapes are replayed through an exact scalar loop
-    instead, keeping results bit-identical to the sparse backend:
-
-    * *aggressor/victim interleaving* — two activated rows within the
-      blast radius of each other, where the in-batch order of the
-      self-refresh (an ACT restores its own row) is observable; and
-    * *new flips* — the flip event must record the disturbance at the
-      crossing activation and events must appear in crossing order.
-
-    Batch geometry (unique rows, victim scatter indices and deltas) is
-    memoized per batch-array identity: attack traces reuse one interval
-    object for thousands of tREFIs, so the geometry is paid once. The
-    memo relies on the documented contract that caller batches are
-    immutable.
+    disturbance and peak, plus a flipped bitmap — which the fused march
+    adopts as row views of its packed ``(unit, row)`` arrays
+    (:meth:`adopt_storage`). The batched neighbour scatter lives in the
+    march, not here: :meth:`activate_many` is the activation-exact
+    replay (the sparse loop on arrays) the march hands the batches it
+    cannot scatter bit-identically — aggressor/victim interleavings,
+    where the in-batch order of an ACT's self-refresh is observable,
+    and steps that flip rows, whose events must carry the crossing-time
+    disturbance in act order.
     """
 
     backend = "dense"
-
-    #: Memo ceiling; LRU-style eviction keeps the hot shared-interval
-    #: entries when a trace streams unboundedly many distinct batches.
-    _BATCH_CACHE_LIMIT = 4096
 
     def _init_storage(self) -> None:
         self._dist = np.zeros(self.num_rows, dtype=np.float64)
         self._peak_arr = np.zeros(self.num_rows, dtype=np.float64)
         self._flipped_mask = np.zeros(self.num_rows, dtype=bool)
-        # id(batch) -> (batch_ref, plan) — see _batch_plan.
-        self._batch_cache: BoundedCache = BoundedCache(self._BATCH_CACHE_LIMIT)
 
     def adopt_storage(
         self,
@@ -451,112 +417,12 @@ class DenseRowDisturbanceModel(RowDisturbanceModel):
                 FlipEvent(row=int(row), disturbance=float(total), time_ns=time_ns)
             )
 
-    def _batch_plan(self, rows: RowBatch, agg) -> tuple | None:
-        """Resolve (and memoize) the batch's data-independent geometry.
-
-        Returns ``(uniq, conflict, victims_unique, delta)`` where
-        ``delta`` is the summed unit contribution each victim receives,
-        or ``None`` for an empty batch. ``conflict`` marks batches whose
-        activated rows fall within each other's blast radius.
-        """
-        # Memoize only on array identity (the engine's shared interval
-        # aggregation or an ndarray batch): arrays are immutable by
-        # contract, while a caller's plain list may be reused mutated.
-        # An agg key covers *both* arrays — a caller may legally pair
-        # one unique-rows array with different counts.
-        key = None
-        if agg is not None:
-            key = (id(agg[0]), id(agg[1]))
-        elif isinstance(rows, np.ndarray):
-            key = id(rows)
-        if key is not None:
-            cached = self._batch_cache.get(key)
-            if cached is not None:
-                return cached[1]
-        if agg is not None:
-            uniq, counts = agg
-        else:
-            arr = np.asarray(rows, dtype=np.intp)
-            if arr.size == 0:
-                return None
-            uniq, counts = np.unique(arr, return_counts=True)
-        if uniq.size == 0:
-            return None
-        # uniq is sorted and strictly increasing, so adjacency (an
-        # activated row being another's victim) shows as a diff of 1.
-        conflict = bool(uniq.size > 1 and np.any(np.diff(uniq) == 1))
-        victims_unique = delta = None
-        # Activated rows outside the bank are legal no-ops (the sparse
-        # dict clips them); only in-range rows get their self-reset.
-        reset_rows = uniq[(uniq >= 0) & (uniq < self.num_rows)]
-        if not conflict:
-            victims = np.concatenate((uniq - 1, uniq + 1))
-            weights = np.concatenate((counts, counts)).astype(np.float64)
-            valid = (victims >= 0) & (victims < self.num_rows)
-            victims = victims[valid]
-            weights = weights[valid]
-            victims_unique = np.unique(victims)
-            if victims_unique.size:
-                idx = np.searchsorted(victims_unique, victims)
-                delta = np.bincount(
-                    idx, weights=weights, minlength=victims_unique.size
-                )
-            else:
-                delta = np.zeros(0, dtype=np.float64)
-        plan = (reset_rows, conflict, victims_unique, delta)
-        if key is not None:
-            # The entry holds a reference to the keyed objects so their
-            # ids cannot be recycled while the memo entry lives.
-            self._batch_cache.put(key, (agg if agg is not None else rows, plan))
-        return plan
-
-    def activate_many(
-        self,
-        rows: RowBatch,
-        time_ns: float = 0.0,
-        agg: tuple["np.ndarray", "np.ndarray"] | None = None,
-    ) -> None:
+    def activate_many(self, rows: RowBatch, time_ns: float = 0.0) -> None:
+        seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
         if self.blast_radius != 1 or self.decay != 1.0:
-            seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
             for row in seq:
                 self.activate(row, time_ns)
             return
-        plan = self._batch_plan(rows, agg)
-        if plan is None:
-            return
-        reset_rows, conflict, victims_unique, delta = plan
-        if conflict:
-            self._activate_many_exact(rows, time_ns)
-            return
-        dist = self._dist
-        if victims_unique is None or not victims_unique.size:
-            dist[reset_rows] = 0.0
-            return
-        old = dist[victims_unique]
-        new = old + delta
-        # Flip detection: threshold mask diffed against the bitmap. The
-        # max() pre-check skips the mask work when no total is anywhere
-        # near TRH (the overwhelmingly common batch). State is untouched
-        # so far, so the exact replay (which must record per-crossing
-        # disturbances in act order) starts clean.
-        if new.max() >= self.trh and bool(
-            ((new >= self.trh) & ~self._flipped_mask[victims_unique]).any()
-        ):
-            self._activate_many_exact(rows, time_ns)
-            return
-        dist[reset_rows] = 0.0
-        dist[victims_unique] = new
-        peak = self._peak_arr
-        peak[victims_unique] = np.maximum(peak[victims_unique], new)
-
-    def _activate_many_exact(self, rows: RowBatch, time_ns: float) -> None:
-        """Activation-exact replay of a batch (the sparse loop on arrays).
-
-        Used for batches the vector path cannot reproduce bit-identically:
-        aggressor/victim interleavings and batches that flip rows (flip
-        events must carry the crossing-time disturbance, in act order).
-        """
-        seq = rows.tolist() if isinstance(rows, np.ndarray) else rows
         dist = self._dist
         peak = self._peak_arr
         flipped = self._flipped_mask

@@ -74,7 +74,7 @@ IDENTITY_MANIFEST = {
             "refi_per_refw", "scaled_timing", "num_banks", "num_ranks",
             "concurrent_banks",
         ],
-        "excluded": ["vectorized", "backend"],
+        "excluded": ["vectorized"],
     },
 }
 
@@ -117,7 +117,6 @@ class PointConfig:
     num_ranks: int = 1
     concurrent_banks: int | None = None
     vectorized: bool | None = None
-    backend: str | None = None
 
     def to_payload(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -15,12 +15,14 @@ Two interchangeable *providers* implement the identical march:
     but always present as the reference implementation for the
     equivalence tests.
 
-Selection is ``EngineConfig.backend``: ``"auto"`` uses the best
-available compiled provider and falls back to the pure-NumPy fused
-path when none exists, ``"compiled"`` requires one
-(:func:`require_compiled`), ``"numpy"`` pins the fused path. The knob
-is excluded from scenario identity — results are bit-identical across
-every provider and the fallback, pinned by the property suite.
+Selection is automatic, with no configuration knob: the fused march
+takes the compiled tier whenever :func:`get_march` resolves a provider
+(``cext`` when a C compiler built it) and the blast radius is 1, and
+otherwise runs the pure-NumPy fused path. The one override is
+:func:`forced_provider` (seeded from the ``REPRO_KERNELS`` environment
+variable), for tests and debugging: ``none`` pins the NumPy path,
+``interpreted`` runs the reference march. Results are bit-identical
+across every provider and the fallback, pinned by the property suite.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "forced_provider",
     "get_march",
     "provider",
-    "require_compiled",
     "unavailable_reason",
 ]
 
@@ -79,9 +80,9 @@ def _cext_available() -> bool:
 
 
 def provider() -> str | None:
-    """The compiled provider ``backend="auto"``/``"compiled"`` would
-    use: ``"cext"``, ``"interpreted"`` (only when forced), or ``None``
-    when no compiled tier is available."""
+    """The compiled provider the fused march uses: ``"cext"``,
+    ``"interpreted"`` (only when forced), or ``None`` when no compiled
+    tier is available."""
     if _FORCED is not None:
         if _FORCED == "none":
             return None
@@ -105,25 +106,6 @@ def unavailable_reason() -> str:
     from . import cext
 
     return cext.build_error() or "C provider unavailable"
-
-
-def require_compiled() -> str:
-    """The resolved provider name, or a clear error when none exists.
-
-    This is the ``backend="compiled"`` contract: fail loudly at
-    simulator construction instead of silently running the slower
-    fallback.
-    """
-    name = provider()
-    if name is None:
-        raise RuntimeError(
-            "backend='compiled' requires a compiled kernel provider, "
-            "but none is available: "
-            f"{unavailable_reason()}. Make a C compiler available for "
-            "the ctypes backend, or use backend='auto' / 'numpy' for "
-            "the pure-NumPy fused path."
-        )
-    return name
 
 
 def get_march():

@@ -1,7 +1,7 @@
 """repro.lint — determinism & identity static analysis.
 
 An AST-based lint pass that guards the contracts the rest of the
-repository only *tests*: bit-exact RNG streams (every backend of one
+repository only *tests*: bit-exact RNG streams (every engine path of one
 scenario replays the same draws), fingerprint-keyed result stores, and
 the pinned public API surface. The test suite catches violations of
 these contracts probabilistically and after the fact; the lint pass

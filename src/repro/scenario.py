@@ -96,7 +96,7 @@ IDENTITY_MANIFEST = {
             "scaled_timing", "num_banks", "num_ranks",
             "concurrent_banks", "timing", "seed",
         ],
-        "excluded": ["vectorized", "backend"],
+        "excluded": ["vectorized"],
     },
 }
 
@@ -217,7 +217,6 @@ class Scenario:
     num_ranks: int = 1
     concurrent_banks: int | None = None
     vectorized: bool | None = None
-    backend: str | None = None
     timing: DDR5Timing | None = None
     seed: int = 0
 
@@ -234,15 +233,14 @@ class Scenario:
             raise ValueError("intervals must be >= 0")
         if self.max_act < 1:
             raise ValueError("max_act must be >= 1")
+        if self.refi_per_refw < 1:
+            raise ValueError("refi_per_refw must be >= 1")
+        if self.concurrent_banks is not None and self.concurrent_banks < 1:
+            raise ValueError("concurrent_banks must be >= 1 (or None)")
         if self.scaled_timing and self.timing is not None:
             raise ValueError(
                 "scaled_timing and an explicit timing override are "
                 "mutually exclusive"
-            )
-        if self.backend not in (None, "auto", "compiled", "numpy"):
-            raise ValueError(
-                f"backend must be 'auto', 'compiled', or 'numpy', "
-                f"got {self.backend!r}"
             )
 
     # -- identity ------------------------------------------------------
@@ -265,7 +263,6 @@ class Scenario:
             "num_ranks": self.num_ranks,
             "concurrent_banks": self.concurrent_banks,
             "vectorized": self.vectorized,
-            "backend": self.backend,
             "timing": None if self.timing is None else {
                 f.name: getattr(self.timing, f.name)
                 for f in fields(DDR5Timing)
@@ -313,13 +310,12 @@ class Scenario:
     def identity_payload(self) -> dict:
         """The payload slice that determines the scenario's *result*.
 
-        Exactly :meth:`to_payload` minus ``vectorized`` and
-        ``backend``: the kernel and compiled-provider choices are pure
-        implementation knobs — the engine pins every combination
-        bit-identical — so two scenarios differing only in them must
-        share every random stream and every fingerprint (scalar,
-        vectorized, and compiled runs of one scenario are the same
-        result, and a store serves any from another's cache entry).
+        Exactly :meth:`to_payload` minus ``vectorized``: the engine
+        choice is a pure implementation knob — the reference engine and
+        the fused march (with or without its compiled tier) are pinned
+        bit-identical — so two scenarios differing only in it must
+        share every random stream and every fingerprint (a store serves
+        either from the other's cache entry).
 
         ``num_ranks`` is semantic (it *is* hashed when above 1), but
         the default of 1 — the pre-channel geometry — is elided, so
@@ -436,7 +432,6 @@ class Scenario:
             num_ranks=self.num_ranks,
             concurrent_banks=self.concurrent_banks,
             vectorized=self.vectorized,
-            backend=self.backend or "auto",
         )
 
     def attack_params(self) -> AttackParams:
@@ -558,23 +553,22 @@ class Scenario:
         )
         base_config = PointConfig.from_scenario(self)
         knob_names = {f.name for f in fields(PointConfig)}
-        for knob in ("vectorized", "backend"):
-            if knob in axes:
-                # Excluded from the identity hash (see identity_payload):
-                # all values would fingerprint — and cache — as one point.
-                raise ValueError(
-                    f"'{knob}' cannot be a sweep axis: the engine-path "
-                    "choice is excluded from scenario identity (every "
-                    "engine path is bit-identical), so its points would "
-                    "collide in the result store; set it on the base "
-                    "scenario instead"
-                )
+        if "vectorized" in axes:
+            # Excluded from the identity hash (see identity_payload):
+            # all values would fingerprint — and cache — as one point.
+            raise ValueError(
+                "'vectorized' cannot be a sweep axis: the engine-path "
+                "choice is excluded from scenario identity (every "
+                "engine path is bit-identical), so its points would "
+                "collide in the result store; set it on the base "
+                "scenario instead"
+            )
         unknown = set(axes) - knob_names
         if unknown:
             raise ValueError(
                 f"unknown sweep axis(es) {sorted(unknown)}; valid axes: "
                 f"'tracker', 'attack', and the grid knobs "
-                f"{sorted(knob_names - {'vectorized', 'backend'})}"
+                f"{sorted(knob_names - {'vectorized'})}"
             )
         keys = list(axes)
         value_lists = [
@@ -612,7 +606,7 @@ class Scenario:
             f"  engine           "
             + ("reference (per-ACT, sparse oracle)"
                if self.vectorized is False
-               else f"fused march, backend {self.backend or 'auto'}"),
+               else "fused march"),
             f"  seed             {self.seed}",
             f"  task seed        {self.task_seed()}",
             f"  fingerprint      {self.fingerprint()}",

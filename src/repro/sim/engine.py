@@ -61,10 +61,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby, islice
 from typing import Callable, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..cache import BoundedCache
 from ..constants import CONCURRENT_BANKS
@@ -109,22 +106,14 @@ class EngineConfig:
     #: value above 1 selects :class:`ChannelSimulator` (a
     #: :class:`RankSimulator` rejects multi-rank configs).
     num_ranks: int = 1
-    #: Engine selection. ``None`` (auto) runs the fused march whenever
-    #: NumPy is available; ``False`` selects the reference engine — the
-    #: per-ACT dispatch over the sparse dict oracle — that every
-    #: production run is pinned bit-identical to.
+    #: Engine selection. ``None`` or ``True`` runs the fused march;
+    #: ``False`` selects the reference engine — the per-ACT dispatch
+    #: over the sparse dict oracle — that every production run is
+    #: pinned bit-identical to. The fused march takes its compiled
+    #: tier whenever :mod:`repro.kernels` resolves a provider; there is
+    #: no knob for that choice (``REPRO_KERNELS`` / ``forced_provider``
+    #: override it for tests and debugging).
     vectorized: bool | None = None
-    #: Compiled-tier selection under the fused march (see
-    #: :mod:`repro.kernels`). ``"auto"`` marches steady-state step runs
-    #: through the compiled provider (the on-demand C build) and falls
-    #: back to the pure-NumPy march when none exists or a step does
-    #: not qualify; ``"compiled"`` requires a provider (raises at
-    #: construction when none is available, and rejects the reference
-    #: engine, which has no compiled tier);
-    #: ``"numpy"`` pins the pure-NumPy march. Excluded from scenario
-    #: identity, like ``vectorized`` — every setting produces
-    #: bit-identical results (pinned by the property suite).
-    backend: str = "auto"
 
 
 class RankSimulator:
@@ -151,6 +140,10 @@ class RankSimulator:
         c = config or EngineConfig()
         if c.num_banks < 1:
             raise ValueError("num_banks must be >= 1")
+        if c.refi_per_refw < 1:
+            raise ValueError("refi_per_refw must be >= 1")
+        if c.concurrent_banks is not None and c.concurrent_banks < 1:
+            raise ValueError("concurrent_banks must be >= 1 (or None)")
         if c.num_ranks != 1:
             raise ValueError(
                 "RankSimulator drives exactly one rank; a config with "
@@ -162,30 +155,9 @@ class RankSimulator:
             CONCURRENT_BANKS if c.concurrent_banks is None else c.concurrent_banks,
             c.num_banks,
         )
-        if c.vectorized and np is None:
-            raise RuntimeError("EngineConfig.vectorized=True requires numpy")
-        if c.backend not in ("auto", "compiled", "numpy"):
-            raise ValueError(
-                "EngineConfig.backend must be 'auto', 'compiled', or "
-                f"'numpy', not {c.backend!r}"
-            )
-        #: Resolved engine choice: the fused march unless disabled or no
-        #: NumPy; otherwise the reference engine.
-        self.vectorized = (
-            c.vectorized if c.vectorized is not None else np is not None
-        )
-        if c.backend == "compiled":
-            if not self.vectorized:
-                raise ValueError(
-                    "EngineConfig.backend='compiled' runs under the fused "
-                    "march, but vectorized=False selects the reference "
-                    "engine; use backend='auto' or drop vectorized=False"
-                )
-            # Fail loudly at construction when no compiled provider
-            # exists — the whole point of pinning "compiled" over "auto".
-            from ..kernels import require_compiled
-
-            require_compiled()
+        #: Resolved engine choice: the fused march unless
+        #: ``vectorized=False`` selects the reference engine.
+        self.vectorized = c.vectorized is not False
         self.device = DramDevice(
             DeviceConfig(
                 timing=c.timing,
@@ -212,6 +184,7 @@ class RankSimulator:
         self.bank_demand_acts = [0] * c.num_banks
         self.intervals = 0
         self._consumed = False
+        self._feeding = False
 
     # ------------------------------------------------------------------
     def run(self, trace: Trace | RankTrace | TraceStream) -> RankSimResult:
@@ -328,14 +301,20 @@ class RankSimulator:
         :meth:`collect` reports the state accumulated so far. Adaptive
         attacks that react to mitigations feed one round at a time
         (:func:`repro.attacks.feinting.run_feinting`).
+
+        Successive feeds build one window; feeding a simulator that
+        already ran a schedule raises ``RuntimeError``, like a second
+        :meth:`run`.
         """
         if self.config.validate_budget:
             self._validate(intervals, start=self.intervals)
+        if not self._feeding:
+            self._guard_reuse()
+            self._feeding = True
         self._feed(intervals)
 
     def _feed(self, intervals) -> None:
         """The reference hot loop: absorb intervals, tick the scheduler."""
-        self._consumed = True
         c = self.config
         absorb_acts = self._absorb_acts
         scheduler_tick = self.scheduler.tick
@@ -636,7 +615,7 @@ class _FusedChannelKernel:
         # arrays and the bound may go stale near the threshold).
         self._march_fn = None
         self._provider = None
-        if c.backend != "numpy" and self._radius1:
+        if self._radius1:
             from .. import kernels
 
             self._march_fn = kernels.get_march()
@@ -796,8 +775,8 @@ class _FusedChannelKernel:
         if exact_units:
             self._step_slow = True
             self._bound = None
-            for model, acts, agg in exact_units:
-                model.activate_many(acts, time_ns, agg=agg)
+            for model, acts in exact_units:
+                model.activate_many(acts, time_ns)
         # The fused scatter: one whole-channel read + flip pre-check +
         # reset + write + peak max over packed unit*num_rows+row keys.
         if victims.size:
@@ -813,8 +792,8 @@ class _FusedChannelKernel:
                 # records per-crossing flip events in act order.
                 self._step_slow = True
                 self._bound = None
-                for model, acts, agg in scatter_units:
-                    model.activate_many(acts, time_ns, agg=agg)
+                for model, acts in scatter_units:
+                    model.activate_many(acts, time_ns)
             else:
                 dist_flat[reset_keys] = 0.0
                 dist_flat[victims] = new
@@ -963,7 +942,6 @@ class _FusedChannelKernel:
                         ),
                     )
                 )
-            agg = (uniq, counts)
             model = sim.device.banks[bank]
             if uniq.size:
                 # Widen the unit's activated-row envelope (uniq is
@@ -985,9 +963,9 @@ class _FusedChannelKernel:
                 # Aggressor/victim interleaving within the bank (the
                 # in-batch order of self-refreshes is observable), or a
                 # blast radius the packed scatter does not model.
-                exact_units.append((model, acts, agg))
+                exact_units.append((model, acts))
                 continue
-            scatter_units.append((model, acts, agg))
+            scatter_units.append((model, acts))
             # Only in-range rows get their self-reset, but even
             # out-of-range aggressors can have in-range victims.
             reset_parts.append(unit * rows_n + uniq[in_range])

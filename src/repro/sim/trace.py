@@ -47,10 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 
 def _split_by_bank(banks, rows):
@@ -84,7 +81,7 @@ class Interval:
     @cached_property
     def per_bank_arrays(self):
         """Array view of :attr:`per_bank` (cached; arrays are read-only
-        by contract). Requires NumPy."""
+        by contract)."""
         return ((0, np.asarray(self.acts, dtype=np.intp)),)
 
 
@@ -140,7 +137,7 @@ class RankInterval:
         level kernels can fold a whole interval into a packed
         ``rank × bank × row`` key without touching the per-bank split.
         Cached and owned by the interval like the other views; callers
-        must not mutate the arrays. Requires NumPy.
+        must not mutate the arrays.
         """
         if not self.acts:
             empty = np.empty(0, dtype=np.intp)

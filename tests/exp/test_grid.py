@@ -1,5 +1,7 @@
 """Grid expansion, fingerprints, and seed derivation."""
 
+import re
+
 import pytest
 
 from repro.exp import (
@@ -9,6 +11,7 @@ from repro.exp import (
     PointConfig,
     TrackerSpec,
 )
+from repro.scenario import Scenario
 from repro.sim.seeding import canonical_json, stable_seed
 
 
@@ -186,6 +189,23 @@ class TestSchemaV4:
         payload = {**self.V3_CONFIG, "num_channels": 2}
         config = PointConfig.from_payload(payload)
         assert not hasattr(config, "num_channels")
+
+    def test_retired_backend_key_loads_but_scenarios_reject_it(self):
+        """Stores written while ``backend`` was an engine knob carry it
+        in every point payload: those points still load, while a
+        scenario payload naming it fails as any unknown field does."""
+        payload = {**self.V3_CONFIG, "num_ranks": 1, "backend": "numpy"}
+        config = PointConfig.from_payload(payload)
+        assert config == PointConfig.from_payload(self.V3_CONFIG)
+        scenario_payload = config.scenario(
+            TrackerSpec.of("mint"), AttackSpec.of("double-sided")
+        ).to_payload()
+        assert "backend" not in scenario_payload
+        with pytest.raises(
+            ValueError,
+            match=re.escape("unknown scenario field(s) ['backend']"),
+        ):
+            Scenario.from_payload({**scenario_payload, "backend": "numpy"})
 
     def test_num_ranks_is_a_grid_knob(self):
         point = ExperimentPoint(

@@ -1,10 +1,10 @@
-"""Backend selection, fallback, and telemetry pins for the compiled tier.
+"""Compiled-tier selection, fallback, and telemetry pins.
 
-``EngineConfig.backend`` is a pure implementation knob: ``"compiled"``
-must fail loudly when no provider exists (or when the reference engine
-is selected), ``"auto"`` must fall back to the pure-NumPy fused march
-bit-identically, and whatever path executes, the kernel telemetry has
-to account for every step.
+The fused march picks its compiled tier by itself: it takes it when a
+provider resolves and falls back to the pure-NumPy march bit-identically
+when none does. ``forced_provider`` is the only override, so these pins
+drive every tier through it, and whatever path executes, the kernel
+telemetry has to account for every step.
 """
 
 import json
@@ -15,7 +15,7 @@ import pytest
 from repro import kernels
 from repro.kernels import forced_provider
 from repro.scenario import Scenario, Session
-from repro.sim.engine import ChannelSimulator, EngineConfig, RankSimulator
+from repro.sim.engine import ChannelSimulator, EngineConfig
 from repro.sim.trace import ChannelTrace, CycleStream, RankInterval
 from repro.trackers.registry import channel_tracker_factory
 
@@ -48,77 +48,25 @@ def _trace(num_ranks):
     )
 
 
-def _config(backend, trh=10**9, num_ranks=2):
-    return EngineConfig(
-        num_banks=2,
-        num_ranks=num_ranks,
-        num_rows=NUM_ROWS,
-        trh=trh,
-        refi_per_refw=8,
-        backend=backend,
-    )
-
-
-def _run(tracker, backend, trh=10**9, num_ranks=2):
+def _run(tracker, trh=10**9):
     simulator = ChannelSimulator(
         channel_tracker_factory(tracker, seed=11),
-        _config(backend, trh=trh, num_ranks=num_ranks),
+        EngineConfig(
+            num_banks=2, num_ranks=2, num_rows=NUM_ROWS, trh=trh,
+            refi_per_refw=8,
+        ),
     )
-    result = simulator.run(_trace(num_ranks))
+    result = simulator.run(_trace(2))
     return json.dumps(asdict(result), sort_keys=True), result
 
 
+def _run_numpy(tracker, trh=10**9):
+    """The pure-NumPy fused march: the tier every provider must match."""
+    with forced_provider("none"):
+        return _run(tracker, trh=trh)
+
+
 class TestSelection:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ChannelSimulator(
-                channel_tracker_factory("mint", seed=1),
-                _config("fast"),
-            )
-
-    def test_compiled_without_provider_raises_clear_error(self):
-        with forced_provider("none"):
-            with pytest.raises(RuntimeError) as excinfo:
-                ChannelSimulator(
-                    channel_tracker_factory("mint", seed=1),
-                    _config("compiled"),
-                )
-        message = str(excinfo.value)
-        assert "compiled" in message
-        assert "C compiler" in message
-        assert "auto" in message
-
-    def test_rank_engine_compiled_pin_requires_provider_too(self):
-        with forced_provider("none"):
-            with pytest.raises(RuntimeError, match="compiled"):
-                RankSimulator(
-                    lambda bank, rng=None: channel_tracker_factory(
-                        "mint", seed=1
-                    )(0, bank),
-                    _config("compiled", num_ranks=1),
-                )
-
-    def test_compiled_rejects_the_reference_engine_on_every_geometry(self):
-        """One rule for every geometry: the compiled tier runs under the
-        fused march, so pinning it on the reference engine is rejected
-        with the same message for a rank and a channel scenario."""
-        messages = []
-        for num_ranks in (1, 2):
-            scenario = Scenario(
-                tracker="mint",
-                attack="double-sided",
-                intervals=4,
-                num_ranks=num_ranks,
-                vectorized=False,
-                backend="compiled",
-            )
-            with forced_provider("interpreted"):
-                with pytest.raises(ValueError, match="compiled") as excinfo:
-                    Session(scenario).run()
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert "vectorized=False" in messages[0]
-
     def test_forced_provider_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown provider"):
             forced_provider("fortran")
@@ -131,16 +79,14 @@ class TestSelection:
         with forced_provider("interpreted"):
             assert kernels.provider() == "interpreted"
             assert kernels.available()
-            assert kernels.require_compiled() == "interpreted"
 
 
 class TestFallbackIdentity:
-    def test_auto_without_provider_matches_numpy_bit_for_bit(self):
-        base, _ = _run("mint", "numpy")
+    def test_no_provider_falls_back_to_the_numpy_march(self):
         with forced_provider("none"):
-            fallen_back, result = _run("mint", "auto")
-        assert fallen_back == base
+            _, result = _run("mint")
         assert result.kernel_stats["backend"] == "numpy"
+        assert result.kernel_stats["provider"] is None
         assert result.kernel_stats["compiled_steps"] == 0
 
     @pytest.mark.parametrize("provider", _providers())
@@ -148,9 +94,9 @@ class TestFallbackIdentity:
     def test_each_provider_matches_numpy_bit_for_bit(
         self, provider, tracker
     ):
-        base, _ = _run(tracker, "numpy")
+        base, _ = _run_numpy(tracker)
         with forced_provider(provider):
-            compiled, result = _run(tracker, "compiled")
+            compiled, result = _run(tracker)
         assert compiled == base
         stats = result.kernel_stats
         assert stats["provider"] == provider
@@ -162,16 +108,16 @@ class TestFallbackIdentity:
     ):
         # trh low enough that the march hits its flip-safety bound and
         # hands the remainder to the per-step path mid-run.
-        base, _ = _run("mint", "numpy", trh=25.0)
+        base, _ = _run_numpy("mint", trh=25.0)
         with forced_provider(provider):
-            compiled, result = _run("mint", "compiled", trh=25.0)
+            compiled, result = _run("mint", trh=25.0)
         assert compiled == base
         assert result.kernel_stats["compiled_bails"] >= 1
 
 
 class TestTelemetry:
     def test_every_step_is_accounted_once(self):
-        _, result = _run("mint", "auto")
+        _, result = _run("mint")
         stats = result.kernel_stats
         assert stats["steps"] == INTERVALS
         assert (
@@ -187,7 +133,7 @@ class TestTelemetry:
         assert stats["plan_cache_misses"] == 1  # one distinct interval
 
     def test_kernel_stats_stay_out_of_the_canonical_payload(self):
-        _, result = _run("mint", "auto")
+        _, result = _run("mint")
         assert result.kernel_stats is not None
         assert "kernel_stats" not in asdict(result)
         assert "kernel_stats" not in result.to_payload()

@@ -371,6 +371,7 @@ class TestFusedChannelEquivalence:
     ):
         from dataclasses import replace
 
+        from repro.kernels import forced_provider
         from repro.sim.engine import ChannelSimulator
         from repro.sim.trace import ChannelTrace, MaterializedStream
         from repro.trackers.registry import channel_tracker_factory
@@ -402,15 +403,15 @@ class TestFusedChannelEquivalence:
             refi_per_refw=8,
         )
         outputs = []
-        for overrides in (
-            dict(vectorized=True, backend="numpy"),
-            dict(vectorized=False),
-        ):
-            simulator = ChannelSimulator(
-                channel_tracker_factory(tracker, seed=seed),
-                replace(base, **overrides),
-            )
-            result = simulator.run(channel)
+        # The pure-NumPy fused march (no compiled provider) vs the
+        # reference engine.
+        for vectorized in (True, False):
+            with forced_provider("none"):
+                simulator = ChannelSimulator(
+                    channel_tracker_factory(tracker, seed=seed),
+                    replace(base, vectorized=vectorized),
+                )
+                result = simulator.run(channel)
             outputs.append(json.dumps(asdict(result), sort_keys=True))
         assert outputs[0] == outputs[1]
 
@@ -524,17 +525,19 @@ class TestCompiledMarchEquivalence:
             refi_per_refw=8,
         )
         outputs = []
-        for overrides in (
-            dict(vectorized=True, backend="compiled"),
-            dict(vectorized=True, backend="numpy"),
-            dict(vectorized=False),
+        # compiled march (the provider under test), pure-NumPy march
+        # (no provider), reference engine.
+        for forced, vectorized in (
+            (provider, True),
+            ("none", True),
+            (provider, False),
         ):
-            with forced_provider(provider), pytest.MonkeyPatch.context() as mp:
+            with forced_provider(forced), pytest.MonkeyPatch.context() as mp:
                 # Engage the march on every run, not just long ones.
                 mp.setattr(_FusedChannelKernel, "_min_compiled_run", 1)
                 simulator = ChannelSimulator(
                     channel_tracker_factory(tracker, seed=seed),
-                    replace(base, **overrides),
+                    replace(base, vectorized=vectorized),
                 )
                 result = simulator.run(make_channel())
             outputs.append(json.dumps(asdict(result), sort_keys=True))

@@ -173,6 +173,10 @@ class TestRoundTrip:
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(tracker="mint", attack="decoy", num_banks=0)
+        with pytest.raises(ValueError, match="refi_per_refw"):
+            Scenario(tracker="mint", attack="decoy", refi_per_refw=0)
+        with pytest.raises(ValueError, match="concurrent_banks"):
+            Scenario(tracker="mint", attack="decoy", concurrent_banks=0)
         with pytest.raises(ValueError):
             Scenario(tracker="mint", attack="decoy",
                      scaled_timing=True, timing=DDR5Timing())

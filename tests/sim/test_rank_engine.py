@@ -132,6 +132,25 @@ class TestRankSimulator:
         with pytest.raises(RuntimeError, match="already consumed"):
             sim.run(RankTrace("w", [RankInterval.of([(0, 5)])] * 2))
 
+    def test_feed_rejected_after_run(self):
+        """Feeding a finished run would graft more intervals onto its
+        window; only ``feed`` after ``feed`` builds one window."""
+        sim = RankSimulator(
+            lambda bank: NullTracker(),
+            EngineConfig(num_banks=1, **CONFIG_KWARGS),
+        )
+        sim.run(RankTrace("w", [RankInterval.of([(0, 5)])] * 4))
+        with pytest.raises(RuntimeError, match="already consumed"):
+            sim.feed([RankInterval.of([(0, 5)])])
+        assert sim.intervals == 4
+        fed = RankSimulator(
+            lambda bank: NullTracker(),
+            EngineConfig(num_banks=1, **CONFIG_KWARGS),
+        )
+        fed.feed([RankInterval.of([(0, 5)])] * 2)
+        fed.feed([RankInterval.of([(0, 5)])] * 2)
+        assert fed.collect("w").intervals == 4
+
     def test_banks_are_isolated(self):
         """Hammering bank 0 must not disturb bank 1's rows."""
         trace = RankTrace(
@@ -178,10 +197,13 @@ class TestRankSimulator:
         with pytest.raises(ValueError):
             simulator.run(trace)
 
-    def test_rejects_zero_banks(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "field", ["num_banks", "refi_per_refw", "concurrent_banks"]
+    )
+    def test_rejects_nonpositive_geometry_knobs(self, field):
+        with pytest.raises(ValueError, match=field):
             RankSimulator(
-                lambda bank: NullTracker(), EngineConfig(num_banks=0)
+                lambda bank: NullTracker(), EngineConfig(**{field: 0})
             )
 
     def test_tracker_factory_called_per_bank(self):
